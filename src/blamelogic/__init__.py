@@ -9,7 +9,6 @@ from .bundle import asset_names, asset_path
 from .errors import (
     AtomBudgetExceededError,
     BlamelogicError,
-    BudgetExceededError,
     FormatError,
     InvalidScriptError,
     ParseError,

@@ -42,10 +42,6 @@ class PlayNotInGameError(BlamelogicError):
     pass
 
 
-class BudgetExceededError(BlamelogicError):
-    """Strategy enumeration for a blame modality would exceed the cap."""
-
-
 class AtomBudgetExceededError(BlamelogicError):
     """Tautology check would need a truth table over too many atoms."""
 

@@ -57,6 +57,8 @@ class Game:
     plays: tuple  # of Play
     valuation: dict  # variable name -> frozenset of play indices
     _block_of: dict = field(init=False, compare=False, repr=False, default=None)
+    # play-set bitmasks, built on first use by the semantics module
+    _masks: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         # canonical block order makes structural equality and the
@@ -74,12 +76,6 @@ class Game:
                     lookup.setdefault(state, i)
             block_of[agent] = lookup
         object.__setattr__(self, "_block_of", block_of)
-
-    def play_index(self, play: Play) -> int:
-        for i, p in enumerate(self.plays):
-            if p == play:
-                return i
-        raise ValueError("play not in game")
 
 
 def identity_partition(states) -> tuple:

@@ -3,9 +3,9 @@ bounded countermodel search.
 
 Everything here is a pure function of its parameters: the same GenParams
 (seed included) always yields the same game or formula.  The sweep
-instantiates every axiom schema over generated games and evaluates each
-instance at every play; any falsifying play is reported as a violation
-witness that can be replayed.  Countermodel search enumerates tiny game
+instantiates every axiom schema over generated games and computes each
+instance's extension over all plays; any falsifying play is reported as a
+violation witness that can be replayed.  Countermodel search enumerates tiny game
 shapes exhaustively (smallest first) and then falls back to seeded random
 games until the candidate budget runs out.
 """
@@ -216,14 +216,20 @@ def _sweep_instances(rng, agents, phi, psi):
     return instances
 
 
-def soundness_sweep(params: GenParams, trials: int, _evaluate=None) -> SweepReport:
+def _falsified(game: Game, formula: Formula) -> list:
+    """Indices of the plays at which the formula fails, ascending."""
+    missing = ((1 << len(game.plays)) - 1) & ~semantics.extension_mask(game, formula)
+    if not missing:
+        return []
+    return [i for i in range(len(game.plays)) if missing >> i & 1]
+
+
+def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
     """Instantiate every axiom over generated games; report any falsifying play.
 
     Also checks that validity is preserved under prefixing a knowledge
-    modality (the necessitation rule read semantically).  `_evaluate` is a
-    testing seam; leave it unset to use the real evaluator.
+    modality (the necessitation rule read semantically).
     """
-    evaluate = _evaluate if _evaluate is not None else semantics.evaluate
     counts = {name: 0 for name in AXIOM_NAMES}
     counts["Necessitation"] = 0
     violations = []
@@ -236,22 +242,19 @@ def soundness_sweep(params: GenParams, trials: int, _evaluate=None) -> SweepRepo
             replace(params, seed=derive_seed(params.seed, trial, 2)), game.agents
         )
         rng = random.Random(derive_seed(params.seed, trial, 3))
+        n = len(game.plays)
         for name, instance in _sweep_instances(rng, game.agents, phi, psi):
-            for idx, play in enumerate(game.plays):
-                counts[name] += 1
-                if not evaluate(game, play, instance):
-                    violations.append(
-                        SweepViolation(name, trial, game, idx, instance)
-                    )
-        if all(evaluate(game, play, phi) for play in game.plays):
+            counts[name] += n
+            for idx in _falsified(game, instance):
+                violations.append(SweepViolation(name, trial, game, idx, instance))
+        if not _falsified(game, phi):
             for coalition in _all_coalitions(game.agents):
                 lifted = Knows(coalition, phi)
-                for idx, play in enumerate(game.plays):
-                    counts["Necessitation"] += 1
-                    if not evaluate(game, play, lifted):
-                        violations.append(
-                            SweepViolation("Necessitation", trial, game, idx, lifted)
-                        )
+                counts["Necessitation"] += n
+                for idx in _falsified(game, lifted):
+                    violations.append(
+                        SweepViolation("Necessitation", trial, game, idx, lifted)
+                    )
     return SweepReport(trials, counts, tuple(violations))
 
 
@@ -329,19 +332,12 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
 
     Candidate games use exactly the formula's agents and variables (with
     placeholders when it has none).  Returns None when the budget is
-    exhausted; any returned witness is re-verified with the evaluator
-    before being returned.
+    exhausted; a returned play index is the lowest falsifying one.
     """
     if budget is None:
         budget = SearchBudget()
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
-
-    def scan(game):
-        for idx, play in enumerate(game.plays):
-            if not semantics.evaluate(game, play, formula):
-                return idx
-        return None
 
     def candidates():
         yield from _tiny_games(agents, variables)
@@ -363,9 +359,7 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
         seen += 1
         if seen > budget.max_candidates:
             break
-        idx = scan(game)
-        if idx is not None:
-            play = game.plays[idx]
-            assert not semantics.evaluate(game, play, formula)
-            return game, idx
+        falsified = _falsified(game, formula)
+        if falsified:
+            return game, falsified[0]
     return None

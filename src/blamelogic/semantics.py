@@ -10,187 +10,201 @@ A formula is evaluated at a play (state, complete action profile, outcome):
     falsifies f at every play that is C-indistinguishable from here and
     agrees with that choice on C's members.
 
-The blame clause enumerates |actions|^|C| strategies; evaluation refuses
-with BudgetExceededError when that count exceeds the cap (default 10^6).
-Evaluation is pure; an internal per-call cache keyed by (subformula, play
-index) keeps nested modalities cheap and behaves as if absent.
+Both modalities depend on the play only through its C-class, so the engine
+computes a formula's extension over all plays at once, bottom-up, as an
+int bitmask (bit i is play i), the way global CTL model checking does.
+Connectives are one big-int operation each.  K{C}f is the union of the
+C-classes disjoint from the complement of f.  B{C}f keeps a class when a
+depth-first walk over C's members (sorted by name, actions in declared
+order) finds a choice whose action masks leave no f-play of the class; the
+walk stops as soon as the remaining mask is empty, so it visits at most
+|plays| * |C| nonempty prefixes per class instead of |actions|^|C|
+strategies.  A choice matching no play of the class prevents vacuously.
+
+Per call the work is O(|formula| * |plays| / word size) plus the blame
+walks; a per-call memo keyed by node identity evaluates shared subtrees
+once.  The masks of variables, states, (agent, action) pairs and coalition
+classes are cached on the Game, which is immutable; the cache holds no
+reference back to it.  Every public function is a view of one mask.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
-from .errors import BudgetExceededError, PlayNotInGameError, UnknownAgentError
+from .errors import PlayNotInGameError, UnknownAgentError
 from .game import Game, Play, Strategy, indistinguishable
 from .syntax import Blames, Formula, Implies, Knows, Neg, Var, formula_agents
 
-DEFAULT_STRATEGY_CAP = 10**6
+
+class _Masks:
+    """Play sets of one game as bitmasks; coalition classes fill in lazily."""
+
+    __slots__ = ("full", "var", "state", "act", "index", "classes")
+
+    def __init__(self, game: Game):
+        n = len(game.plays)
+        self.full = (1 << n) - 1
+        self.state = {}
+        self.act = {}  # (agent, action) -> plays where agent took action
+        self.index = {}  # id(play) -> first index of that object
+        for i, play in enumerate(game.plays):
+            bit = 1 << i
+            self.state[play.state] = self.state.get(play.state, 0) | bit
+            for key in play.profile.items():
+                self.act[key] = self.act.get(key, 0) | bit
+            self.index.setdefault(id(play), i)
+        self.var = {}
+        for name, indices in game.valuation.items():
+            mask = 0
+            for i in indices:
+                if 0 <= i < n:
+                    mask |= 1 << i
+            self.var[name] = mask
+        self.classes = {}
 
 
-def _check_agents(game: Game, formula: Formula):
-    unknown = formula_agents(formula) - set(game.agents)
+def _masks_of(game: Game) -> _Masks:
+    masks = game._masks
+    if masks is None:
+        masks = _Masks(game)
+        object.__setattr__(game, "_masks", masks)
+    return masks
+
+
+def _classes(game: Game, masks: _Masks, coalition) -> tuple:
+    """Play masks of the coalition's indistinguishability classes."""
+    classes = masks.classes.get(coalition)
+    if classes is None:
+        reps, blocks = [], []
+        for s in game.states:
+            for k, r in enumerate(reps):
+                if indistinguishable(game, coalition, s, r):
+                    blocks[k] |= masks.state.get(s, 0)
+                    break
+            else:
+                reps.append(s)
+                blocks.append(masks.state.get(s, 0))
+        classes = masks.classes[coalition] = tuple(b for b in blocks if b)
+    return classes
+
+
+def _prevent(rest: int, members, actions, act: dict):
+    """First choice (one action per member) whose plays miss `rest`, else None.
+
+    Choices are ordered lexicographically: members in the given order,
+    actions in declared order.
+    """
+    if not members:
+        return () if not rest else None
+    agent, others = members[0], members[1:]
+    for action in actions:
+        left = rest & act.get((agent, action), 0)
+        if not left:
+            return (action,) + (actions[0],) * len(others)
+        tail = _prevent(left, others, actions, act)
+        if tail is not None:
+            return (action,) + tail
+    return None
+
+
+def _check_agents(game: Game, agents):
+    unknown = set(agents) - set(game.agents)
     if unknown:
         raise UnknownAgentError(f"unknown agent: {sorted(unknown)[0]}")
 
 
-class _Context:
-    """Per-evaluation scratch state: memo table and coalition class maps."""
+def extension_mask(game: Game, formula: Formula) -> int:
+    """The formula's extension as an int whose bit i is set iff it holds at play i."""
+    _check_agents(game, formula_agents(formula))
+    masks = _masks_of(game)
+    full, actions = masks.full, game.actions
+    memo = {}
 
-    def __init__(self, game: Game, cap: int):
-        self.game = game
-        self.cap = cap
-        self.memo = {}
-        self._classes = {}
-        self._members = {}
+    def ext(f):
+        mask = memo.get(id(f))
+        if mask is not None:
+            return mask
+        match f:
+            case Var(name):
+                mask = masks.var.get(name, 0)
+            case Neg(inner):
+                mask = full ^ ext(inner)
+            case Implies(lhs, rhs):
+                mask = (full ^ ext(lhs)) | ext(rhs)
+            case Knows(c, inner):
+                false = full ^ ext(inner)
+                mask = 0
+                for block in _classes(game, masks, c):
+                    if not block & false:
+                        mask |= block
+            case Blames(c, inner):
+                true = ext(inner)
+                members = sorted(c)
+                mask = 0
+                for block in _classes(game, masks, c):
+                    rest = block & true
+                    if rest and _prevent(rest, members, actions, masks.act) is not None:
+                        mask |= rest
+            case _:
+                raise TypeError(f"not a formula node: {f!r}")
+        memo[id(f)] = mask
+        return mask
 
-    def state_class(self, coalition):
-        """Map each state to a class id under the coalition's joint relation."""
-        classes = self._classes.get(coalition)
-        if classes is None:
-            classes = {}
-            reps = []
-            for s in self.game.states:
-                for r in reps:
-                    if indistinguishable(self.game, coalition, s, r):
-                        classes[s] = classes[r]
-                        break
-                else:
-                    classes[s] = len(reps)
-                    reps.append(s)
-            self._classes[coalition] = classes
-        return classes
-
-    def related_plays(self, coalition, state):
-        """Indices of plays whose initial state is coalition-indistinguishable."""
-        members = self._members.get(coalition)
-        if members is None:
-            classes = self.state_class(coalition)
-            members = {}
-            for i, play in enumerate(self.game.plays):
-                members.setdefault(classes[play.state], []).append(i)
-            self._members[coalition] = members
-        return members[self.state_class(coalition)[state]]
-
-
-def _eval(ctx: _Context, idx: int, f: Formula) -> bool:
-    key = (id(f), idx)
-    if key in ctx.memo:
-        return ctx.memo[key]
-    game = ctx.game
-    match f:
-        case Var(name):
-            value = idx in game.valuation.get(name, ())
-        case Neg(inner):
-            value = not _eval(ctx, idx, inner)
-        case Implies(lhs, rhs):
-            value = (not _eval(ctx, idx, lhs)) or _eval(ctx, idx, rhs)
-        case Knows(c, inner):
-            value = all(
-                _eval(ctx, j, inner)
-                for j in ctx.related_plays(c, game.plays[idx].state)
-            )
-        case Blames(c, inner):
-            value = _eval_blame(ctx, idx, c, inner) is not None
-        case _:
-            raise TypeError(f"not a formula node: {f!r}")
-    ctx.memo[key] = value
-    return value
-
-
-def _eval_blame(ctx: _Context, idx: int, coalition, inner):
-    """First strategy witnessing the blame clause at play idx, else None."""
-    if not _eval(ctx, idx, inner):
-        return None
-    game = ctx.game
-    members = sorted(coalition)
-    if len(game.actions) ** len(members) > ctx.cap:
-        raise BudgetExceededError(
-            f"blame check needs {len(game.actions)}^{len(members)} strategies, "
-            f"cap is {ctx.cap}"
-        )
-    candidates = ctx.related_plays(coalition, game.plays[idx].state)
-    for combo in product(game.actions, repeat=len(members)):
-        for j in candidates:
-            profile = game.plays[j].profile
-            if all(profile[a] == act for a, act in zip(members, combo)):
-                if _eval(ctx, j, inner):
-                    break
-        else:
-            return dict(zip(members, combo))
-    return None
+    return ext(formula)
 
 
 def _locate(game: Game, play: Play) -> int:
+    i = _masks_of(game).index.get(id(play))
+    if i is not None and game.plays[i] is play:
+        return i
     for i, p in enumerate(game.plays):
         if p == play:
             return i
     raise PlayNotInGameError(f"play not in game: {play}")
 
 
-def evaluate(
-    game: Game, play: Play, formula: Formula, strategy_cap: int = DEFAULT_STRATEGY_CAP
-) -> bool:
+def evaluate(game: Game, play: Play, formula: Formula) -> bool:
     """Does the formula hold at this play of the game?"""
-    _check_agents(game, formula)
-    idx = _locate(game, play)
-    return _eval(_Context(game, strategy_cap), idx, formula)
+    return bool(extension_mask(game, formula) >> _locate(game, play) & 1)
 
 
-def extension(
-    game: Game, formula: Formula, strategy_cap: int = DEFAULT_STRATEGY_CAP
-) -> frozenset:
+def extension(game: Game, formula: Formula) -> frozenset:
     """Indices of exactly the plays at which the formula holds."""
-    _check_agents(game, formula)
-    ctx = _Context(game, strategy_cap)
-    return frozenset(i for i in range(len(game.plays)) if _eval(ctx, i, formula))
+    bits = bin(extension_mask(game, formula))[:1:-1]
+    return frozenset(i for i, bit in enumerate(bits) if bit == "1")
 
 
-def is_valid(
-    game: Game, formula: Formula, strategy_cap: int = DEFAULT_STRATEGY_CAP
-) -> bool:
+def is_valid(game: Game, formula: Formula) -> bool:
     """True iff the formula holds at every play of the game."""
-    _check_agents(game, formula)
-    ctx = _Context(game, strategy_cap)
-    return all(_eval(ctx, i, formula) for i in range(len(game.plays)))
+    return extension_mask(game, formula) == _masks_of(game).full
 
 
-def blame_witness(
-    game: Game,
-    play: Play,
-    coalition,
-    formula: Formula,
-    strategy_cap: int = DEFAULT_STRATEGY_CAP,
-):
+def blame_witness(game: Game, play: Play, coalition, formula: Formula):
     """Lexicographically smallest strategy establishing B{coalition}formula.
 
     Orders strategies by sorted member name, then by action order as
     declared in the game.  Returns None exactly when the blame modality is
     false at the play.
     """
-    _check_agents(game, formula)
-    unknown = set(coalition) - set(game.agents)
-    if unknown:
-        raise UnknownAgentError(f"unknown agent: {sorted(unknown)[0]}")
-    idx = _locate(game, play)
-    ctx = _Context(game, strategy_cap)
-    choice = _eval_blame(ctx, idx, frozenset(coalition), formula)
-    if choice is None:
+    coalition = frozenset(coalition)
+    true = extension_mask(game, formula)
+    _check_agents(game, coalition)
+    bit = 1 << _locate(game, play)
+    if not true & bit:
         return None
-    return Strategy(frozenset(coalition), choice)
+    masks = _masks_of(game)
+    members = sorted(coalition)
+    for block in _classes(game, masks, coalition):
+        if block & bit:
+            choice = _prevent(block & true, members, game.actions, masks.act)
+            if choice is None:
+                return None
+            return Strategy(coalition, dict(zip(members, choice)))
+    return None
 
 
-def semantic_entailment(
-    game: Game,
-    hypotheses,
-    formula: Formula,
-    strategy_cap: int = DEFAULT_STRATEGY_CAP,
-) -> bool:
+def semantic_entailment(game: Game, hypotheses, formula: Formula) -> bool:
     """True iff every play satisfying all hypotheses also satisfies formula."""
+    hyps = _masks_of(game).full
     for h in hypotheses:
-        _check_agents(game, h)
-    _check_agents(game, formula)
-    ctx = _Context(game, strategy_cap)
-    for i in range(len(game.plays)):
-        if all(_eval(ctx, i, h) for h in hypotheses) and not _eval(ctx, i, formula):
-            return False
-    return True
+        hyps &= extension_mask(game, h)
+    return not hyps & ~extension_mask(game, formula)

@@ -2,7 +2,7 @@
 
 naive_evaluate reimplements the satisfaction relation directly from its
 definition: no caching, indistinguishability by scanning partition blocks,
-and the blame clause as a literal exists/forall double loop.  It is the
+and the blame clause as a literal exists/forall double loop (naive_witness).  It is the
 reference the fast evaluator is compared against.
 """
 
@@ -49,23 +49,32 @@ def naive_evaluate(game, play, formula):
                         return False
             return True
         case Blames(c, inner):
-            if not naive_evaluate(game, play, inner):
-                return False
-            members = sorted(c)
-            for combo in product(game.actions, repeat=len(members)):
-                choice = dict(zip(members, combo))
-                prevents = True
-                for other in game.plays:
-                    if naive_indist(game, c, play.state, other.state) and all(
-                        other.profile[m] == choice[m] for m in members
-                    ):
-                        if naive_evaluate(game, other, inner):
-                            prevents = False
-                            break
-                if prevents:
-                    return True
-            return False
+            return naive_witness(game, play, c, inner) is not None
     raise TypeError(f"not a formula node: {formula!r}")
+
+
+def naive_witness(game, play, coalition, formula):
+    """First choice, in product order over sorted members, that prevents formula.
+
+    None unless formula holds at the play; a choice prevents it when every
+    coalition-indistinguishable play agreeing with it falsifies formula.
+    """
+    if not naive_evaluate(game, play, formula):
+        return None
+    members = sorted(coalition)
+    for combo in product(game.actions, repeat=len(members)):
+        choice = dict(zip(members, combo))
+        prevents = True
+        for other in game.plays:
+            if naive_indist(game, coalition, play.state, other.state) and all(
+                other.profile[m] == choice[m] for m in members
+            ):
+                if naive_evaluate(game, other, formula):
+                    prevents = False
+                    break
+        if prevents:
+            return choice
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,13 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_directory_as_game_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--game", str(tmp_path), "--play", "0", "--formula", "p")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--game", MANUAL])

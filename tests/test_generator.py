@@ -131,17 +131,22 @@ def test_countermodel_games_are_valid():
         assert validate_game(game).ok
 
 
-def test_sweep_evaluate_seam_is_honored():
-    # the seam routes every check through the supplied callable
+def test_sweep_reads_the_engine_mask(monkeypatch):
+    # every instance is decided by one extension mask over the game's plays
     calls = []
 
-    def fake(game, play, formula):
+    def full(game, formula):
         calls.append(formula)
-        return True
+        return (1 << len(game.plays)) - 1
 
-    report = soundness_sweep(GenParams(seed=4), 2, _evaluate=fake)
+    monkeypatch.setattr(semantics, "extension_mask", full)
+    report = soundness_sweep(GenParams(seed=4), 2)
     assert report.ok
     assert calls
 
-    broken = soundness_sweep(GenParams(seed=4), 1, _evaluate=lambda g, p, f: False)
-    assert broken.violations
+    monkeypatch.setattr(semantics, "extension_mask", lambda game, formula: 0)
+    broken = soundness_sweep(GenParams(seed=4), 1)
+    # phi is no longer valid, so necessitation is skipped and every other
+    # checked play is a violation
+    assert broken.counts["Necessitation"] == 0
+    assert len(broken.violations) == sum(broken.counts.values()) > 0

@@ -5,12 +5,8 @@ import pytest
 from itertools import product
 
 from _helpers import naive_evaluate, naive_indist
-from blamelogic.errors import (
-    BudgetExceededError,
-    PlayNotInGameError,
-    UnknownAgentError,
-)
-from blamelogic.game import Play, load_game
+from blamelogic.errors import PlayNotInGameError, UnknownAgentError
+from blamelogic.game import Game, Play, identity_partition, load_game
 from blamelogic.generator import GenParams, gen_formula, gen_game
 from blamelogic.semantics import (
     blame_witness,
@@ -101,10 +97,40 @@ def test_play_not_in_game(truck_manual):
         evaluate(truck_manual, stranger, parse_formula("col"))
 
 
-def test_strategy_budget_guard(truck_selfdriving):
-    play = truck_selfdriving.plays[3]
-    with pytest.raises(BudgetExceededError):
-        evaluate(truck_selfdriving, play, parse_formula("B{c}col"), strategy_cap=1)
+def test_blame_beyond_old_strategy_cap():
+    # 7 agents x 8 actions: 8^7 > 10^6 strategies for the grand coalition.
+    # The game is hand-built and not total, so most profiles have no play.
+    agents = tuple("abcdefg")
+    actions = tuple(f"d{i}" for i in range(8))
+
+    def play(**moves):
+        return Play("s", {a: moves.get(a, "d0") for a in agents}, "o")
+
+    game = Game(
+        agents,
+        ("s",),
+        {a: identity_partition(("s",)) for a in agents},
+        actions,
+        ("o",),
+        (play(), play(a="d1"), play(g="d1")),
+        {"p": frozenset({0, 2})},
+    )
+    assert len(game.plays) < len(actions) ** len(agents)
+    everyone = frozenset(agents)
+    # all-d0 meets play 0 and (d0,...,d0,d1) meets play 2, both p-plays;
+    # (d0,...,d0,d2) meets no play at all, so it prevents p vacuously
+    expected = {a: "d0" for a in agents} | {"g": "d2"}
+    for idx in (0, 2):
+        w = blame_witness(game, game.plays[idx], everyone, parse_formula("p"))
+        assert w.choice == expected
+    assert blame_witness(game, game.plays[1], everyone, parse_formula("p")) is None
+    # a alone: d0 meets plays 0 and 2, d1 meets only play 1, where p fails
+    w = blame_witness(game, game.plays[0], {"a"}, parse_formula("p"))
+    assert w.choice == {"a": "d1"}
+    f = Blames(everyone, parse_formula("p"))
+    assert extension(game, f) == {0, 2}
+    for p in game.plays:
+        assert evaluate(game, p, f) == naive_evaluate(game, p, f)
 
 
 def _coalitions(agents):
