@@ -269,7 +269,7 @@ def run(argv) -> int:
     started = time.perf_counter()
     try:
         report, code = _COMMANDS[args.command](args)
-    except (BlamelogicError, ValueError, OSError) as e:
+    except (BlamelogicError, ValueError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     report = {"command": args.command, **report}

@@ -15,6 +15,7 @@ information by default).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -179,11 +180,17 @@ def validate_game(game: Game) -> ValidationReport:
     covered = {
         (p.state, tuple(p.profile.get(a) for a in game.agents)) for p in game.plays
     }
+    # counting keeps this linear in the plays; the profile space, which grows
+    # as actions ** agents, is walked only up to a state's first missing profile
+    counts = Counter(s for s, profile in covered if actions.issuperset(profile))
     for state in game.states:
-        for profile in product(game.actions, repeat=len(game.agents)):
-            if (state, profile) not in covered:
-                shown = {a: act for a, act in zip(game.agents, profile)}
-                bad.append(f"totality violated at ({state}, {shown})")
+        missing = len(actions) ** len(game.agents) - counts[state]
+        if missing:
+            profiles = product(game.actions, repeat=len(game.agents))
+            first = next(pr for pr in profiles if (state, pr) not in covered)
+            shown = {a: act for a, act in zip(game.agents, first)}
+            more = f" ({missing} profiles missing)" if missing > 1 else ""
+            bad.append(f"totality violated at ({state}, {shown}){more}")
 
     for var, indices in game.valuation.items():
         for idx in indices:

@@ -18,7 +18,7 @@ from itertools import product
 
 from . import semantics
 from .game import Game, Play
-from .hilbert import AXIOM_NAMES, build_axiom
+from .hilbert import AXIOM_NAMES, DISJOINT, SCHEMAS, SUBSET, build_axiom
 from .syntax import (
     Blames,
     Formula,
@@ -192,6 +192,7 @@ def _all_coalitions(agents):
 
 def _sweep_instances(rng, agents, phi, psi):
     """Every axiom schema instantiated at random and boundary coalitions."""
+    empty = frozenset()
     everyone = frozenset(agents)
     c = _random_coalition(rng, agents)
     extra = _random_coalition(rng, agents)
@@ -200,20 +201,17 @@ def _sweep_instances(rng, agents, phi, psi):
     # order of strings varies with hash randomization)
     rest = tuple(sorted(everyone - c))
     disj_d = frozenset(a for a in rest if rng.random() < 0.5)
-    instances = []
-    for name in AXIOM_NAMES:
-        if name in ("Monotonicity-K", "Monotonicity-B"):
-            pairs = [(c, d), (frozenset(), c), (c, everyone), (frozenset(), everyone)]
-            for lo, hi in pairs:
-                instances.append((name, build_axiom(name, phi, psi, lo, hi)))
-        elif name == "JointResponsibility":
-            pairs = [(c, disj_d), (frozenset(), c), (c, frozenset())]
-            for one, two in pairs:
-                instances.append((name, build_axiom(name, phi, psi, one, two)))
-        else:
-            for coalition in (c, frozenset(), everyone):
-                instances.append((name, build_axiom(name, phi, psi, coalition)))
-    return instances
+    # (C, D) pairs that meet each side condition of the schema table
+    pairs = {
+        None: [(c, empty), (empty, empty), (everyone, empty)],
+        SUBSET: [(c, d), (empty, c), (c, everyone), (empty, everyone)],
+        DISJOINT: [(c, disj_d), (empty, c), (c, empty)],
+    }
+    return [
+        (name, build_axiom(name, phi, psi, one, two))
+        for name, (_, side) in SCHEMAS.items()
+        for one, two in pairs[side]
+    ]
 
 
 def _falsified(game: Game, formula: Formula) -> list:

@@ -10,6 +10,12 @@ exactly modus ponens over premises and theorems.
 Tautology checking reads a formula as a Boolean combination of its modal
 atoms (maximal Var/Knows/Blames subformulas) and decides truth under all
 assignments with bitmask truth tables.
+
+SCHEMAS is the single source of the eleven axiom schemas: a builder over
+the metavariables (phi, psi, C, D) and a side condition on (C, D) for each.
+build_axiom calls the builder; match_schema unifies a formula against the
+builder's output on placeholders; the table's order is match_axiom's
+first-match order, so ~B{}true is NoneToBlame, not BlamelessnessOfTruth.
 """
 
 from __future__ import annotations
@@ -39,146 +45,125 @@ from .syntax import (
     print_formula,
 )
 
-AXIOM_NAMES = (
-    "Truth-K",
-    "Truth-B",
-    "Distributivity",
-    "NegativeIntrospection",
-    "Monotonicity-K",
-    "Monotonicity-B",
-    "NoneToBlame",
-    "BlamelessnessOfTruth",
-    "JointResponsibility",
-    "BlameForKnownCause",
-    "KnowledgeOfFairness",
+# Side conditions on the coalitions (C, D): a predicate, and the message of
+# the ValueError that build_axiom raises when it fails.
+SUBSET = (lambda c, d: c <= d, "Monotonicity needs C to be a subset of D")
+DISJOINT = (
+    lambda c, d: not c & d, "Joint Responsibility needs disjoint coalitions"
 )
+
+# name -> (builder (phi, psi, C, D) -> Formula, side condition or None),
+# in first-match order
+SCHEMAS = {
+    "Truth-K": (lambda phi, psi, c, d: Implies(Knows(c, phi), phi), None),
+    "Truth-B": (lambda phi, psi, c, d: Implies(Blames(c, phi), phi), None),
+    "Distributivity": (
+        lambda phi, psi, c, d: Implies(
+            Knows(c, Implies(phi, psi)), Implies(Knows(c, phi), Knows(c, psi))
+        ),
+        None,
+    ),
+    "NegativeIntrospection": (
+        lambda phi, psi, c, d: Implies(
+            Neg(Knows(c, phi)), Knows(c, Neg(Knows(c, phi)))
+        ),
+        None,
+    ),
+    "Monotonicity-K": (
+        lambda phi, psi, c, d: Implies(Knows(c, phi), Knows(d, phi)),
+        SUBSET,
+    ),
+    "Monotonicity-B": (
+        lambda phi, psi, c, d: Implies(Blames(c, phi), Blames(d, phi)),
+        SUBSET,
+    ),
+    "NoneToBlame": (lambda phi, psi, c, d: Neg(Blames(frozenset(), phi)), None),
+    "BlamelessnessOfTruth": (lambda phi, psi, c, d: Neg(Blames(c, TOP)), None),
+    "JointResponsibility": (
+        lambda phi, psi, c, d: Implies(
+            conj(poss_knows(c, Blames(c, phi)), poss_knows(d, Blames(d, psi))),
+            Implies(disj(phi, psi), Blames(c | d, disj(phi, psi))),
+        ),
+        DISJOINT,
+    ),
+    "BlameForKnownCause": (
+        lambda phi, psi, c, d: Implies(
+            Knows(c, Implies(phi, psi)),
+            Implies(Blames(c, psi), Implies(phi, Blames(c, phi))),
+        ),
+        None,
+    ),
+    "KnowledgeOfFairness": (
+        lambda phi, psi, c, d: Implies(
+            Blames(c, phi), Knows(c, Implies(phi, Blames(c, phi)))
+        ),
+        None,
+    ),
+}
+
+AXIOM_NAMES = tuple(SCHEMAS)
 
 DEFAULT_ATOM_BUDGET = 20
 
 
 def build_axiom(name, phi=None, psi=None, c=frozenset(), d=frozenset()) -> Formula:
     """Instantiate an axiom schema; raises ValueError on a bad side condition."""
-    c = frozenset(c)
-    d = frozenset(d)
-    match name:
-        case "Truth-K":
-            return Implies(Knows(c, phi), phi)
-        case "Truth-B":
-            return Implies(Blames(c, phi), phi)
-        case "Distributivity":
-            return Implies(
-                Knows(c, Implies(phi, psi)), Implies(Knows(c, phi), Knows(c, psi))
-            )
-        case "NegativeIntrospection":
-            return Implies(Neg(Knows(c, phi)), Knows(c, Neg(Knows(c, phi))))
-        case "Monotonicity-K":
-            if not c <= d:
-                raise ValueError("Monotonicity needs C to be a subset of D")
-            return Implies(Knows(c, phi), Knows(d, phi))
-        case "Monotonicity-B":
-            if not c <= d:
-                raise ValueError("Monotonicity needs C to be a subset of D")
-            return Implies(Blames(c, phi), Blames(d, phi))
-        case "NoneToBlame":
-            return Neg(Blames(frozenset(), phi))
-        case "BlamelessnessOfTruth":
-            return Neg(Blames(c, TOP))
-        case "JointResponsibility":
-            if c & d:
-                raise ValueError("Joint Responsibility needs disjoint coalitions")
-            either = disj(phi, psi)
-            return Implies(
-                conj(poss_knows(c, Blames(c, phi)), poss_knows(d, Blames(d, psi))),
-                Implies(either, Blames(c | d, either)),
-            )
-        case "BlameForKnownCause":
-            return Implies(
-                Knows(c, Implies(phi, psi)),
-                Implies(Blames(c, psi), Implies(phi, Blames(c, phi))),
-            )
-        case "KnowledgeOfFairness":
-            return Implies(Blames(c, phi), Knows(c, Implies(phi, Blames(c, phi))))
-    raise ValueError(f"unknown axiom name: {name}")
+    if name not in SCHEMAS:
+        raise ValueError(f"unknown axiom name: {name}")
+    builder, side = SCHEMAS[name]
+    c, d = frozenset(c), frozenset(d)
+    if side is not None and not side[0](c, d):
+        raise ValueError(side[1])
+    return builder(phi, psi, c, d)
+
+
+class _Meta:
+    """A metavariable of a schema template, or the union C | D of two."""
+
+    def __init__(self, *names):
+        self.names = names
+
+    def __or__(self, other):
+        return _Meta(*self.names, *other.names)
+
+
+# each builder applied to placeholders once gives its schema's template
+_TEMPLATES = {
+    name: builder(_Meta("phi"), _Meta("psi"), _Meta("C"), _Meta("D"))
+    for name, (builder, _) in SCHEMAS.items()
+}
+
+
+def _unify(template, f, env) -> bool:
+    """Match f against template, binding metavariables in env."""
+    if isinstance(template, _Meta):
+        if len(template.names) > 1:  # a union; its parts are bound earlier
+            return f == frozenset().union(*(env[n] for n in template.names))
+        bound = env.setdefault(template.names[0], f)
+        return bound is f or bound == f
+    if type(template) is not type(f):
+        return False
+    match template:
+        case Neg(inner):
+            return _unify(inner, f.inner, env)
+        case Implies(lhs, rhs):
+            return _unify(lhs, f.lhs, env) and _unify(rhs, f.rhs, env)
+        case Knows(c, inner) | Blames(c, inner):
+            return _unify(c, f.coalition, env) and _unify(inner, f.inner, env)
+    return template == f  # a constant: a coalition literal or a variable
 
 
 def match_schema(name: str, f: Formula):
     """Bindings if f instantiates the named schema (side conditions checked)."""
-    match name:
-        case "Truth-K":
-            match f:
-                case Implies(Knows(c, phi), rhs) if rhs == phi:
-                    return {"C": c, "phi": phi}
-        case "Truth-B":
-            match f:
-                case Implies(Blames(c, phi), rhs) if rhs == phi:
-                    return {"C": c, "phi": phi}
-        case "Distributivity":
-            match f:
-                case Implies(
-                    Knows(c, Implies(phi, psi)),
-                    Implies(Knows(c2, phi2), Knows(c3, psi2)),
-                ) if c == c2 == c3 and phi == phi2 and psi == psi2:
-                    return {"C": c, "phi": phi, "psi": psi}
-        case "NegativeIntrospection":
-            match f:
-                case Implies(
-                    Neg(Knows(c, phi)), Knows(c2, Neg(Knows(c3, phi2)))
-                ) if c == c2 == c3 and phi == phi2:
-                    return {"C": c, "phi": phi}
-        case "Monotonicity-K":
-            match f:
-                case Implies(Knows(c, phi), Knows(d, phi2)) if phi == phi2 and c <= d:
-                    return {"C": c, "D": d, "phi": phi}
-        case "Monotonicity-B":
-            match f:
-                case Implies(Blames(c, phi), Blames(d, phi2)) if phi == phi2 and c <= d:
-                    return {"C": c, "D": d, "phi": phi}
-        case "NoneToBlame":
-            match f:
-                case Neg(Blames(c, phi)) if not c:
-                    return {"phi": phi}
-        case "BlamelessnessOfTruth":
-            match f:
-                case Neg(Blames(c, top)) if top == TOP:
-                    return {"C": c}
-        case "JointResponsibility":
-            match f:
-                case Implies(
-                    Neg(
-                        Implies(
-                            Neg(Knows(c, Neg(Blames(c2, phi)))),
-                            Neg(Neg(Knows(d, Neg(Blames(d2, psi))))),
-                        )
-                    ),
-                    Implies(
-                        Implies(Neg(phi2), psi2),
-                        Blames(u, Implies(Neg(phi3), psi3)),
-                    ),
-                ) if (
-                    c == c2
-                    and d == d2
-                    and phi == phi2 == phi3
-                    and psi == psi2 == psi3
-                    and not (c & d)
-                    and u == c | d
-                ):
-                    return {"C": c, "D": d, "phi": phi, "psi": psi}
-        case "BlameForKnownCause":
-            match f:
-                case Implies(
-                    Knows(c, Implies(phi, psi)),
-                    Implies(Blames(c2, psi2), Implies(phi2, Blames(c3, phi3))),
-                ) if c == c2 == c3 and phi == phi2 == phi3 and psi == psi2:
-                    return {"C": c, "phi": phi, "psi": psi}
-        case "KnowledgeOfFairness":
-            match f:
-                case Implies(
-                    Blames(c, phi), Knows(c2, Implies(phi2, Blames(c3, phi3)))
-                ) if c == c2 == c3 and phi == phi2 == phi3:
-                    return {"C": c, "phi": phi}
-        case _:
-            raise ValueError(f"unknown axiom name: {name}")
-    return None
+    if name not in SCHEMAS:
+        raise ValueError(f"unknown axiom name: {name}")
+    env = {}
+    if not _unify(_TEMPLATES[name], f, env):
+        return None
+    side = SCHEMAS[name][1]
+    if side is not None and not side[0](env["C"], env["D"]):
+        return None
+    return env
 
 
 def match_axiom(f: Formula):

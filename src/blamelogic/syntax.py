@@ -309,10 +309,14 @@ def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into the five-constructor AST.
 
     Raises ParseError (with byte offset and expected-token set) on
-    malformed input.  An empty coalition literal `{}` is legal.
+    malformed input, and on nesting deeper than the interpreter's
+    recursion limit allows.  An empty coalition literal `{}` is legal.
     """
     p = _Parser(text)
-    f = p.parse_formula()
+    try:
+        f = p.parse_formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     if p.peek().kind != "EOF":
         p.fail({"EOF"})
     return f

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from blamelogic import asset_path, load_game
+import blamelogic
+from blamelogic import asset_path, cli, load_game
 from blamelogic.cli import main
 from blamelogic.game import game_from_document
 from blamelogic.hilbert import check_proof, parse_proof
@@ -60,6 +65,37 @@ def test_missing_file_is_input_error(capsys):
 
 def test_directory_as_game_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "eval", "--game", str(tmp_path), "--play", "0", "--formula", "p")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("formula", ["~" * 3000 + "p", "(" * 200 + "p" + ")" * 200])
+def test_deep_formula_is_input_error(formula):
+    src = str(Path(blamelogic.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["eval", "--game", MANUAL, "--play", "0", "--formula", formula]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blamelogic.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_recursion_past_the_parser_is_input_error(capsys, monkeypatch):
+    # a formula just under the parser's limit can still overflow the engine
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "evaluate", overflow)
+    code, out, err = run(capsys, "eval", "--game", MANUAL, "--play", "0", "--formula", "col")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

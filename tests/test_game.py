@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +60,23 @@ def test_totality_violation_reports_witness():
     with pytest.raises(ValidationError) as err:
         load_game(doc(plays=plays, valuation={"col": [2]}))
     assert any("totality violated" in v and "speed-up" in v for v in err.value.violations)
+
+
+def test_totality_check_does_not_walk_the_profile_space():
+    # 8 agents x 8 actions: 8**8 profiles per state, one play in all
+    agents = [f"a{i}" for i in range(8)]
+    actions = [f"x{i}" for i in range(8)]
+    play = {"state": "high", "profile": {a: "x0" for a in agents}, "outcome": "collision"}
+    started = time.perf_counter()
+    with pytest.raises(ValidationError) as err:
+        load_game(doc(agents=agents, indist={}, actions=actions, plays=[play], valuation={}))
+    assert time.perf_counter() - started < 1.0
+    totality = [v for v in err.value.violations if "totality violated" in v]
+    assert len(totality) == 2  # at most one per state
+    high, low = totality
+    assert high.startswith("totality violated at (high, {'a0': 'x0'")
+    assert "'a7': 'x1'}) (16777215 profiles missing)" in high
+    assert low.endswith("'a7': 'x0'}) (16777216 profiles missing)")
 
 
 def test_overlapping_blocks_are_not_a_partition():

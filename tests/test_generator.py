@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from _helpers import identity_empty_indist
@@ -5,14 +8,17 @@ from blamelogic import game as game_mod
 from blamelogic import semantics
 from blamelogic.game import validate_game
 from blamelogic.generator import (
+    AGENT_POOL,
     GenParams,
     SearchBudget,
+    _sweep_instances,
+    derive_seed,
     find_countermodel,
     gen_formula,
     gen_game,
     soundness_sweep,
 )
-from blamelogic.hilbert import AXIOM_NAMES
+from blamelogic.hilbert import AXIOM_NAMES, match_schema
 from blamelogic.syntax import parse_formula, print_formula
 
 
@@ -86,6 +92,27 @@ def test_sweep_counts_every_schema_and_finds_no_violation():
     for name in AXIOM_NAMES:
         assert report.counts[name] > 0, name
     assert report.counts["Necessitation"] >= 0
+
+
+def test_sweep_instances_match_their_schemas():
+    for seed in range(60):
+        agents = AGENT_POOL[: 1 + seed % 3]
+        phi = gen_formula(GenParams(formula_depth=3, seed=seed), agents)
+        psi = gen_formula(GenParams(formula_depth=3, seed=seed + 1000), agents)
+        for name, instance in _sweep_instances(random.Random(seed), agents, phi, psi):
+            assert match_schema(name, instance) is not None, (seed, name)
+
+
+def test_one_trial_checks_each_instance_at_every_play():
+    # three coalition choices per schema, four for the Monotonicity schemas
+    for seed in (0, 7, 19):
+        params = GenParams(seed=seed)
+        report = soundness_sweep(params, 1)
+        game = gen_game(replace(params, seed=derive_seed(seed, 0, 0)))
+        n = len(game.plays)
+        for name in AXIOM_NAMES:
+            instances = 4 if name in ("Monotonicity-K", "Monotonicity-B") else 3
+            assert report.counts[name] == instances * n, name
 
 
 def test_sweep_detects_a_corrupted_evaluator(monkeypatch):

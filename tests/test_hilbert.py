@@ -1,9 +1,9 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from _helpers import make_rng, negate_line, rand_formula
+from _helpers import make_rng, negate_line, rand_coalition, rand_formula
 from blamelogic import asset_path
 from blamelogic.errors import AtomBudgetExceededError, ParseError
 from blamelogic.hilbert import (
@@ -25,6 +25,7 @@ from blamelogic.hilbert import (
     parse_proof_file,
 )
 from blamelogic.syntax import (
+    Blames,
     Implies,
     Knows,
     Neg,
@@ -119,6 +120,64 @@ def test_monotonicity_builder_checks_subset():
 
 def test_truth_axiom_with_equal_sides_still_matches():
     assert match_axiom(Implies(Knows(a, p), Knows(a, p)))[0] == "Monotonicity-K"
+
+
+# metavariables of each schema, as match_schema names them
+METAVARS = {
+    "Truth-K": {"C", "phi"},
+    "Truth-B": {"C", "phi"},
+    "Distributivity": {"C", "phi", "psi"},
+    "NegativeIntrospection": {"C", "phi"},
+    "Monotonicity-K": {"C", "D", "phi"},
+    "Monotonicity-B": {"C", "D", "phi"},
+    "NoneToBlame": {"phi"},
+    "BlamelessnessOfTruth": {"C"},
+    "JointResponsibility": {"C", "D", "phi", "psi"},
+    "BlameForKnownCause": {"C", "phi", "psi"},
+    "KnowledgeOfFairness": {"C", "phi"},
+}
+KEYWORD = {"C": "c", "D": "d", "phi": "phi", "psi": "psi"}
+
+
+def _mutants(f, rng):
+    """f with one subformula or one coalition replaced, once per site."""
+    yield rand_formula(rng, 1)
+    match f:
+        case Neg(inner):
+            yield from map(Neg, _mutants(inner, rng))
+        case Implies(lhs, rhs):
+            yield from (Implies(m, rhs) for m in _mutants(lhs, rng))
+            yield from (Implies(lhs, m) for m in _mutants(rhs, rng))
+        case Knows(c, inner) | Blames(c, inner):
+            yield type(f)(rand_coalition(rng), inner)
+            yield from (type(f)(c, m) for m in _mutants(inner, rng))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_schema_table_builds_what_it_matches(seed):
+    rng = make_rng(seed)
+    phi, psi = rand_formula(rng, 2), rand_formula(rng, 2)
+    c, extra = rand_coalition(rng), rand_coalition(rng)
+    rebuilt = 0
+    for name in AXIOM_NAMES:
+        # bindings meeting the side condition: C subset of D for
+        # Monotonicity, C and D disjoint for Joint Responsibility
+        d = extra - c if name == "JointResponsibility" else c | extra
+        chosen = {"C": c, "D": d, "phi": phi, "psi": psi}
+        instance = build_axiom(name, phi, psi, c, d)
+        bindings = match_schema(name, instance)
+        assert bindings == {k: chosen[k] for k in METAVARS[name]}, name
+        # whatever matches, the builder rebuilds from the bindings exactly
+        for f in (instance, *_mutants(instance, rng)):
+            for other in AXIOM_NAMES:
+                got = match_schema(other, f)
+                if got is not None:
+                    assert set(got) == METAVARS[other]
+                    kwargs = {KEYWORD[k]: v for k, v in got.items()}
+                    assert build_axiom(other, **kwargs) == f, (other, f)
+                    rebuilt += 1
+    assert rebuilt > len(AXIOM_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,12 @@ def test_parse_errors_carry_offset_and_expected(text):
     assert err.value.expected
 
 
+@pytest.mark.parametrize("text", ["~" * 3000 + "p", "(" * 200 + "p" + ")" * 200])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(text)
+
+
 def test_parse_error_offset_points_at_failure():
     with pytest.raises(ParseError) as err:
         parse_formula("p -> @")
