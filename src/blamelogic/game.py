@@ -271,6 +271,8 @@ def game_from_document(doc: dict) -> Game:
         ):
             raise FormatError(f"valuation for {var!r} must be a list of integers")
         valuation[var] = frozenset(indices)
+        if len(valuation[var]) < len(indices):
+            raise FormatError(f"valuation for {var!r} lists an index twice")
 
     game = Game(agents, states, indist, actions, outcomes, tuple(plays), valuation)
     report = validate_game(game)

@@ -13,6 +13,13 @@ surface sugar that the parser expands with the usual classical definitions:
 
 Precedence, tightest first: modalities and `~`, then `&`, then `|`, then
 `->` (right-associative), then `<->` (left-associative).
+
+One compiled regular expression splits the text into tokens, and a
+recursive descent reads the token kinds and texts by index.  The parser
+rejects any formula whose AST, after sugar expansion, is more than
+MAX_DEPTH levels deep, so that hashing, comparing, printing and evaluating
+a parsed formula (all recursive) stay far below the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ Coalition = frozenset  # frozenset of agent name strings
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 RESERVED_WORDS = frozenset({"true", "false"})
+MAX_DEPTH = 200  # deepest AST that parse_formula returns
 
 
 @dataclass(frozen=True)
@@ -141,184 +149,176 @@ def modal_atoms(f: Formula) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner and parser
 
-_TOKEN_PATTERNS = (
-    ("IFF", "<->"),
-    ("POSSK", "<K>"),
-    ("ARROW", "->"),
-    ("NOT", "~"),
-    ("OR", "|"),
-    ("AND", "&"),
-    ("LPAREN", "("),
-    ("RPAREN", ")"),
-    ("LBRACE", "{"),
-    ("RBRACE", "}"),
-    ("COMMA", ","),
+# Punctuation token kinds, in match order: `<->` before `<K>` before `->`.
+_PUNCTUATION = {
+    "<->": "IFF", "<K>": "POSSK", "->": "ARROW", "~": "NOT", "|": "OR", "&": "AND",
+    "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE", ",": "COMMA",
+}
+# One token per match, after optional whitespace: punctuation, then an
+# identifier, then any other character, which is an error.
+_SCANNER = re.compile(
+    r"\s*(" + "|".join(map(re.escape, _PUNCTUATION)) + "|" + IDENT_RE.pattern + r"|\S)"
 )
+_UNARY_START = frozenset({"IDENT", "LPAREN", "NOT", "POSSK"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of the pattern names, or IDENT / EOF
-    text: str
-    pos: int  # character offset into the source
+def _scan(text: str):
+    """Token kinds and texts, ending with an EOF token.
+
+    Trailing whitespace is cut off first, so that no match backtracks over
+    it.  A stray character, neither punctuation nor a letter, raises.
+    """
+    texts = _SCANNER.findall(text, 0, len(text.rstrip()))
+    kinds = [
+        _PUNCTUATION.get(t) or ("IDENT" if t[0].isalpha() and t.isascii() else None)
+        for t in texts
+    ]
+    if None in kinds:
+        bad = kinds.index(None)
+        offset = _byte_offset(text, bad)
+        raise ParseError(
+            f"unexpected character {texts[bad]!r} at byte {offset}",
+            offset=offset,
+            expected={"IDENT", *_PUNCTUATION.values()},
+        )
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+def _byte_offset(text: str, k: int) -> int:
+    """Byte offset of token k of text; offsets are only needed for errors."""
+    starts = [m.start(1) for m in _SCANNER.finditer(text, 0, len(text.rstrip()))]
+    return len(text[: starts[k] if k < len(starts) else len(text)].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for kind, lit in _TOKEN_PATTERNS:
-            if text.startswith(lit, i):
-                tokens.append(_Token(kind, lit, i))
-                i += len(lit)
-                break
-        else:
-            m = IDENT_RE.match(text, i)
-            if m:
-                tokens.append(_Token("IDENT", m.group(), i))
-                i = m.end()
-            else:
-                raise ParseError(
-                    f"unexpected character {ch!r} at byte {_byte_offset(text, i)}",
-                    offset=_byte_offset(text, i),
-                    expected={"IDENT"} | {k for k, _ in _TOKEN_PATTERNS},
-                )
-    tokens.append(_Token("EOF", "", n))
-    return tokens
+def _too_deep(f: Formula) -> bool:
+    # level by level, a lone Var being one level; a subtree that `<->`
+    # shares is visited once per level
+    level = [f]
+    for _ in range(MAX_DEPTH):
+        below = {}
+        for node in level:
+            if type(node) is Implies:
+                below[id(node.lhs)] = node.lhs
+                below[id(node.rhs)] = node.rhs
+            elif type(node) is not Var:
+                below[id(node.inner)] = node.inner
+        if not below:
+            return False
+        level = below.values()
+    return True
 
 
 class _Parser:
+    """Recursive descent over the token lists of one text."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.kinds, self.texts = _scan(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail({kind})
-        return self.advance()
-
     def fail(self, expected):
-        tok = self.peek()
-        shown = tok.text if tok.kind != "EOF" else "end of input"
+        pos = self.pos
+        shown = self.texts[pos] if self.kinds[pos] != "EOF" else "end of input"
+        offset = _byte_offset(self.text, pos)
         raise ParseError(
-            f"unexpected {shown!r} at byte {_byte_offset(self.text, tok.pos)}, "
+            f"unexpected {shown!r} at byte {offset}, "
             f"expected one of {sorted(expected)}",
-            offset=_byte_offset(self.text, tok.pos),
+            offset=offset,
             expected=expected,
         )
 
+    def expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            self.fail({kind})
+        self.pos += 1
+        return self.texts[self.pos - 1]
+
     # formula := iff ; iff := imp { "<->" imp }
-    def parse_formula(self) -> Formula:
-        f = self.parse_imp()
-        while self.peek().kind == "IFF":
-            self.advance()
-            f = iff(f, self.parse_imp())
+    def formula(self) -> Formula:
+        f = self.imp()
+        while self.kinds[self.pos] == "IFF":
+            self.pos += 1
+            f = iff(f, self.imp())
         return f
 
     # imp := or [ "->" imp ]   (right-associative)
-    def parse_imp(self) -> Formula:
-        f = self.parse_or()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            return Implies(f, self.parse_imp())
+    def imp(self) -> Formula:
+        f = self.disjunction()
+        if self.kinds[self.pos] == "ARROW":
+            self.pos += 1
+            return Implies(f, self.imp())
         return f
 
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek().kind == "OR":
-            self.advance()
-            f = disj(f, self.parse_and())
+    def disjunction(self) -> Formula:
+        f = self.conjunction()
+        while self.kinds[self.pos] == "OR":
+            self.pos += 1
+            f = disj(f, self.conjunction())
         return f
 
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek().kind == "AND":
-            self.advance()
-            f = conj(f, self.parse_unary())
+    def conjunction(self) -> Formula:
+        f = self.unary()
+        while self.kinds[self.pos] == "AND":
+            self.pos += 1
+            f = conj(f, self.unary())
         return f
 
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
-            return Neg(self.parse_unary())
-        if tok.kind == "POSSK":
-            self.advance()
-            c = self.parse_coalition()
-            return poss_knows(c, self.parse_unary())
-        if tok.kind == "IDENT" and tok.text in ("K", "B") and self._next_is_brace():
-            self.advance()
-            c = self.parse_coalition()
-            inner = self.parse_unary()
-            return Knows(c, inner) if tok.text == "K" else Blames(c, inner)
-        return self.parse_atom()
-
-    def _next_is_brace(self) -> bool:
-        return self.tokens[self.pos + 1].kind == "LBRACE"
-
-    def parse_coalition(self) -> Coalition:
-        self.expect("LBRACE")
-        names = []
-        if self.peek().kind == "IDENT":
-            names.append(self.advance().text)
-            while self.peek().kind == "COMMA":
-                self.advance()
-                names.append(self.expect("IDENT").text)
-        self.expect("RBRACE")
-        return frozenset(names)
-
-    def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text == "true":
-                return TOP
-            if tok.text == "false":
-                return BOTTOM
-            return Var(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
-            f = self.parse_formula()
+    def unary(self) -> Formula:
+        kind = self.kinds[self.pos]
+        if kind not in _UNARY_START:
+            self.fail(_UNARY_START)
+        self.pos += 1
+        if kind == "NOT":
+            return Neg(self.unary())
+        if kind == "POSSK":
+            c = self.coalition_literal()
+            return poss_knows(c, self.unary())
+        if kind == "LPAREN":
+            f = self.formula()
             self.expect("RPAREN")
             return f
-        self.fail({"IDENT", "LPAREN", "NOT", "POSSK"})
+        word = self.texts[self.pos - 1]
+        if word in ("K", "B") and self.kinds[self.pos] == "LBRACE":
+            c = self.coalition_literal()
+            inner = self.unary()
+            return Knows(c, inner) if word == "K" else Blames(c, inner)
+        return TOP if word == "true" else BOTTOM if word == "false" else Var(word)
+
+    def coalition_literal(self) -> Coalition:
+        self.expect("LBRACE")
+        names = []
+        if self.kinds[self.pos] == "IDENT":
+            names.append(self.expect("IDENT"))
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
+                names.append(self.expect("IDENT"))
+        self.expect("RBRACE")
+        return frozenset(names)
 
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into the five-constructor AST.
 
     Raises ParseError (with byte offset and expected-token set) on
-    malformed input, and on nesting deeper than the interpreter's
-    recursion limit allows.  An empty coalition literal `{}` is legal.
+    malformed input, and ParseError("formula nested too deeply") when the
+    AST, after sugar expansion, is more than MAX_DEPTH levels deep (a lone
+    variable is one level) or parentheses nest deeper than the recursion
+    limit allows (about 195 from a shallow stack).  An empty coalition
+    literal `{}` is legal.
     """
     p = _Parser(text)
     try:
-        f = p.parse_formula()
+        f = p.formula()
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
-    if p.peek().kind != "EOF":
+    if p.kinds[p.pos] != "EOF":
         p.fail({"EOF"})
+    if _too_deep(f):
+        raise ParseError("formula nested too deeply")
     return f
 
 

@@ -147,6 +147,7 @@ def test_missing_indist_defaults_to_identity():
         '{"agents": ["c"], "states": ["s"], "actions": ["d"], "outcomes": ["o"]}',
         '{"agents": ["c"], "states": ["s"], "actions": ["d"], "outcomes": ["o"], "plays": [{"state": "s"}]}',
         '{"agents": ["c"], "states": ["s"], "actions": ["d"], "outcomes": ["o"], "plays": [], "valuation": {"p": "x"}}',
+        '{"agents": ["c"], "states": ["s"], "actions": ["d"], "outcomes": ["o"], "plays": [{"state": "s", "profile": {"c": "d"}, "outcome": "o"}], "valuation": {"p": [0, 0]}}',
     ],
 )
 def test_malformed_documents_raise_format_error(broken):

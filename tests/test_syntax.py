@@ -1,10 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from _helpers import naive_evaluate
 from blamelogic.errors import ParseError
 from blamelogic.generator import GenParams, gen_formula
+from blamelogic.hilbert import check_proof, is_tautology_instance, parse_proof
+from blamelogic.semantics import extension
 from blamelogic.syntax import (
     BOTTOM,
+    MAX_DEPTH,
     Blames,
     Implies,
     Knows,
@@ -108,6 +112,51 @@ def test_parse_errors_carry_offset_and_expected(text):
     assert err.value.expected
 
 
+_OPERAND = frozenset({"IDENT", "LPAREN", "NOT", "POSSK"})
+_ANY_TOKEN = _OPERAND | {"AND", "ARROW", "COMMA", "IFF", "LBRACE", "OR", "RBRACE", "RPAREN"}
+_EXPECT_OPERAND = "expected one of ['IDENT', 'LPAREN', 'NOT', 'POSSK']"
+
+
+# The exact error for each input; offsets count UTF-8 bytes, so a U+3000
+# (one character, three bytes) before the failure moves it by three.
+@pytest.mark.parametrize(
+    "text,message,offset,expected",
+    [
+        ("p ->", f"unexpected 'end of input' at byte 4, {_EXPECT_OPERAND}", 4, _OPERAND),
+        ("K{a", "unexpected 'end of input' at byte 3, expected one of ['RBRACE']",
+         3, {"RBRACE"}),
+        ("(p", "unexpected 'end of input' at byte 2, expected one of ['RPAREN']",
+         2, {"RPAREN"}),
+        ("~", f"unexpected 'end of input' at byte 1, {_EXPECT_OPERAND}", 1, _OPERAND),
+        ("p q", "unexpected 'q' at byte 2, expected one of ['EOF']", 2, {"EOF"}),
+        ("p @ q", "unexpected character '@' at byte 2", 2, _ANY_TOKEN),
+        ("", f"unexpected 'end of input' at byte 0, {_EXPECT_OPERAND}", 0, _OPERAND),
+        ("K{a,}p", "unexpected '}' at byte 4, expected one of ['IDENT']", 4, {"IDENT"}),
+        ("<K p", "unexpected character '<' at byte 0", 0, _ANY_TOKEN),
+        ("p -> @", "unexpected character '@' at byte 5", 5, _ANY_TOKEN),
+        ("\u3000p -> @", "unexpected character '@' at byte 8", 8, _ANY_TOKEN),
+        ("K{a,\xe9}p", "unexpected character '\xe9' at byte 4", 4, _ANY_TOKEN),
+        ("p\xa0&\u2028 q )", "unexpected ')' at byte 10, expected one of ['EOF']",
+         10, {"EOF"}),
+        ("p -> ~K{a}\n\t", f"unexpected 'end of input' at byte 12, {_EXPECT_OPERAND}",
+         12, _OPERAND),
+    ],
+)
+def test_parse_error_golden_table(text, message, offset, expected):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (str(err.value), err.value.offset, err.value.expected) == (
+        message,
+        offset,
+        expected,
+    )
+
+
+@pytest.mark.parametrize("text", [" p ->\u3000q", "p\xa0->\u2028q\t\n", "\u3000p -> q  "])
+def test_unicode_whitespace_separates_tokens(text):
+    assert parse_formula(text) == Implies(p, q)
+
+
 @pytest.mark.parametrize("text", ["~" * 3000 + "p", "(" * 200 + "p" + ")" * 200])
 def test_deep_nesting_is_a_parse_error(text):
     with pytest.raises(ParseError, match="nested too deeply"):
@@ -193,3 +242,61 @@ def test_parser_is_total_over_junk(text):
         parse_formula(text)
     except ParseError:
         pass
+
+
+def _depth(f):
+    # independent of the parser's own walk: a lone variable is depth 1
+    deepest, stack = 0, [(f, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, Implies):
+            stack += [(node.lhs, d + 1), (node.rhs, d + 1)]
+        elif not isinstance(node, Var):
+            stack.append((node.inner, d + 1))
+    return deepest
+
+
+def _chain(kind, depth):
+    # one construct over the truck game's variable and agent, exactly
+    # `depth` levels deep; n conjunctions are 2n + 2 deep, and 2n + 3 with
+    # `~~col` first
+    if kind == "&":
+        n, odd = divmod(depth - 2, 2)
+        return ("~~col" if odd else "col") + " & col" * n
+    return {"~": "~", "K": "K{c}", "->": "col -> "}[kind] * (depth - 1) + "col"
+
+
+_CHAINS = ["~", "K", "->", "&"]
+
+
+@pytest.mark.parametrize("kind", _CHAINS)
+def test_formulas_at_the_depth_limit_work_downstream(kind, truck_manual):
+    f = parse_formula(_chain(kind, MAX_DEPTH))
+    g = parse_formula(_chain(kind, MAX_DEPTH))
+    assert _depth(f) == MAX_DEPTH
+    assert f is not g and hash(f) == hash(g) and f == g
+    assert parse_formula(print_formula(f)) == f
+    expected = {
+        i
+        for i, play in enumerate(truck_manual.plays)
+        if naive_evaluate(truck_manual, play, f)
+    }
+    assert extension(truck_manual, f) == expected
+    # only the right-nested `col -> ... -> col` is a tautology
+    assert is_tautology_instance(f) == (kind == "->")
+
+
+@pytest.mark.parametrize("kind", _CHAINS)
+def test_a_taut_line_at_the_depth_limit_checks(kind):
+    half = _chain(kind, MAX_DEPTH - 1)
+    line = f"({half}) -> ({half})"
+    assert _depth(parse_formula(line)) == MAX_DEPTH
+    assert check_proof(parse_proof(f"goal: {line}\n1. {line} ; taut\n")).valid
+
+
+@pytest.mark.parametrize("kind", _CHAINS)
+def test_formulas_past_the_depth_limit_are_parse_errors(kind):
+    with pytest.raises(ParseError) as err:
+        parse_formula(_chain(kind, MAX_DEPTH + 1))
+    assert str(err.value) == "formula nested too deeply"
