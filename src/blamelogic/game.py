@@ -4,8 +4,12 @@ A game bundles initial states, one indistinguishability partition per agent,
 actions, outcomes, a set of plays (state, complete action profile, outcome),
 and a valuation from propositional variables to sets of play indices.
 Totality is required: every (state, profile) pair must appear in at least
-one play.  Games are treated as immutable after construction; every
-operation here is a pure read.
+one play.  Games are immutable after construction: `indist` and
+`valuation` are read-only mappings, and every operation here is a pure
+read.  The loader gives all plays with equal profiles one shared,
+read-only profile, so the validator and the semantics module do their
+per-profile work once per distinct profile object, not once per play;
+plays built in code keep the profile object they were given.
 
 The on-disk format is a single JSON document; see load_game / dump_game.
 Agents absent from the "indist" map get the identity partition (perfect
@@ -17,7 +21,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
+from types import MappingProxyType
 
 from .errors import (
     FormatError,
@@ -29,10 +34,12 @@ from .errors import (
 IDENT_KEYS = ("agents", "states", "actions", "outcomes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Play:
     state: str
-    profile: dict  # agent name -> action name, total over the game's agents
+    # agent name -> action name, total over the game's agents; in a loaded
+    # game, one read-only mapping shared by all plays with that profile
+    profile: dict
     outcome: str
 
 
@@ -68,7 +75,8 @@ class Game:
             agent: tuple(sorted(blocks, key=lambda b: tuple(sorted(b))))
             for agent, blocks in self.indist.items()
         }
-        object.__setattr__(self, "indist", canonical)
+        object.__setattr__(self, "indist", MappingProxyType(canonical))
+        object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
         block_of = {}
         for agent, blocks in self.indist.items():
             lookup = {}
@@ -160,29 +168,38 @@ def validate_game(game: Game) -> ValidationReport:
     agents = set(game.agents)
     actions = set(game.actions)
     outcomes = set(game.outcomes)
+    facts = {}  # id(profile) -> _profile_facts, once per distinct profile object
     seen_plays = set()
+    covered = set()  # (state, profile in agent order) over declared actions
     for i, play in enumerate(game.plays):
-        if play.state not in states:
-            bad.append(f"play {i} references unknown state: {play.state}")
-        if play.outcome not in outcomes:
-            bad.append(f"play {i} references unknown outcome: {play.outcome}")
-        if set(play.profile) != agents:
+        profile = play.profile
+        fact = facts.get(id(profile))
+        if fact is None:
+            fact = facts[id(profile)] = _profile_facts(profile, game.agents, agents, actions)
+        profile_key, in_order, unknown = fact
+        state, outcome = play.state, play.outcome
+        if in_order is not None:
+            covered.add((state, in_order))
+        key = (state, profile_key, outcome)
+        # the usual case, a new play with nothing to report
+        if unknown == () and state in states and outcome in outcomes and key not in seen_plays:
+            seen_plays.add(key)
+            continue
+        if state not in states:
+            bad.append(f"play {i} references unknown state: {state}")
+        if outcome not in outcomes:
+            bad.append(f"play {i} references unknown outcome: {outcome}")
+        if unknown is None:
             bad.append(f"play {i} profile domain is not exactly the agent set")
         else:
-            for agent, action in play.profile.items():
-                if action not in actions:
-                    bad.append(f"play {i} references unknown action: {action}")
-        key = (play.state, tuple(sorted(play.profile.items())), play.outcome)
+            bad.extend(f"play {i} references unknown action: {a}" for a in unknown)
         if key in seen_plays:
             bad.append(f"duplicate play at index {i}")
         seen_plays.add(key)
 
-    covered = {
-        (p.state, tuple(p.profile.get(a) for a in game.agents)) for p in game.plays
-    }
     # counting keeps this linear in the plays; the profile space, which grows
     # as actions ** agents, is walked only up to a state's first missing profile
-    counts = Counter(s for s, profile in covered if actions.issuperset(profile))
+    counts = Counter(s for s, _ in covered)
     for state in game.states:
         missing = len(actions) ** len(game.agents) - counts[state]
         if missing:
@@ -192,9 +209,15 @@ def validate_game(game: Game) -> ValidationReport:
             more = f" ({missing} profiles missing)" if missing > 1 else ""
             bad.append(f"totality violated at ({state}, {shown}){more}")
 
+    n = len(game.plays)
     for var, indices in game.valuation.items():
+        # one pass in C when every index is fine; else name each bad one
+        if all(map(isinstance, indices, repeat(int))) and (
+            not indices or (0 <= min(indices) and max(indices) < n)
+        ):
+            continue
         for idx in indices:
-            if not (isinstance(idx, int) and 0 <= idx < len(game.plays)):
+            if not (isinstance(idx, int) and 0 <= idx < n):
                 bad.append(f"valuation index out of range: {var} -> {idx}")
 
     played = {p.outcome for p in game.plays}
@@ -203,6 +226,22 @@ def validate_game(game: Game) -> ValidationReport:
             warn.append(f"outcome {outcome} appears in no play")
 
     return ValidationReport(tuple(bad), tuple(warn))
+
+
+def _profile_facts(profile, order, agents, actions):
+    """(duplicate key, actions in agent order or None, unknown actions or None).
+
+    The agent-order tuple is the totality key; it is None unless every
+    action in it is declared.  When the domain is exactly the agent set it
+    is also the duplicate key and the unknown actions are listed in the
+    profile's order; otherwise the duplicate key is the set of entries and
+    the unknown actions are None.
+    """
+    in_order = tuple(profile.get(a) for a in order)
+    covering = in_order if actions.issuperset(in_order) else None
+    if set(profile) != agents:
+        return frozenset(profile.items()), covering, None
+    return in_order, covering, tuple(a for a in profile.values() if a not in actions)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +263,24 @@ def _string_list(doc, key):
         if not isinstance(v, str):
             raise FormatError(f"field {key!r} must contain only strings")
     return tuple(values)
+
+
+def _profile_copy(profile, i):
+    for k, v in profile.items():
+        if not isinstance(k, str) or not isinstance(v, str):
+            raise FormatError(f"play {i}: profile entries must be strings")
+    return MappingProxyType(dict(profile))
+
+
+def _play_from_entry(entry, i):
+    """One play, checked field by field: the loader's path for every entry
+    that is not a dict with str state and outcome and a dict profile."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"play {i} must be an object")
+    state = _require(entry, "state", str, where=f"play {i}")
+    outcome = _require(entry, "outcome", str, where=f"play {i}")
+    profile = _require(entry, "profile", dict, where=f"play {i}")
+    return Play(state, _profile_copy(profile, i), outcome)
 
 
 def game_from_document(doc: dict) -> Game:
@@ -250,24 +307,32 @@ def game_from_document(doc: dict) -> Game:
 
     plays_doc = _require(doc, "plays", list)
     plays = []
+    shared = {}  # profile entries -> the one read-only copy of that profile
     for i, entry in enumerate(plays_doc):
-        if not isinstance(entry, dict):
-            raise FormatError(f"play {i} must be an object")
-        state = _require(entry, "state", str, where=f"play {i}")
-        outcome = _require(entry, "outcome", str, where=f"play {i}")
-        profile = _require(entry, "profile", dict, where=f"play {i}")
-        for k, v in profile.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                raise FormatError(f"play {i}: profile entries must be strings")
-        plays.append(Play(state, dict(profile), outcome))
+        if type(entry) is dict:
+            state = entry.get("state")
+            outcome = entry.get("outcome")
+            profile = entry.get("profile")
+            if type(state) is str and type(outcome) is str and type(profile) is dict:
+                key = tuple(profile.items())
+                try:
+                    copy = shared.get(key)
+                except TypeError:  # an unhashable entry, rejected below
+                    copy = None
+                if copy is None:
+                    copy = shared[key] = _profile_copy(profile, i)
+                plays.append(Play(state, copy, outcome))
+                continue
+        plays.append(_play_from_entry(entry, i))
 
     valuation_doc = doc.get("valuation", {})
     if not isinstance(valuation_doc, dict):
         raise FormatError("field 'valuation' must be an object")
     valuation = {}
     for var, indices in valuation_doc.items():
-        if not isinstance(indices, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in indices
+        if not isinstance(indices, list) or not (
+            {int}.issuperset(map(type, indices))  # the usual case, checked in C
+            or all(isinstance(i, int) and not isinstance(i, bool) for i in indices)
         ):
             raise FormatError(f"valuation for {var!r} must be a list of integers")
         valuation[var] = frozenset(indices)

@@ -86,17 +86,26 @@ def _random_partition(rng, states):
     return tuple(frozenset(b) for _, b in sorted(blocks.items()))
 
 
+def _profiles(agents, actions):
+    """Every complete profile, in product order, one dict each.
+
+    Plays share these dicts, as loaded plays share their profiles, so the
+    semantics module builds its action masks once per profile, not per play.
+    """
+    return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
+
+
 def _random_game(rng, agents, states, actions, outcomes, variables, branching):
     indist = {agent: _random_partition(rng, states) for agent in agents}
+    profiles = _profiles(agents, actions)
     plays = []
     for state in states:
-        for combo in product(actions, repeat=len(agents)):
-            profile = dict(zip(agents, combo))
+        for profile in profiles:
             first = rng.choice(outcomes)
             plays.append(Play(state, profile, first))
             for extra in outcomes:
                 if extra != first and rng.random() < branching:
-                    plays.append(Play(state, dict(profile), extra))
+                    plays.append(Play(state, profile, extra))
     valuation = {
         var: frozenset(i for i in range(len(plays)) if rng.random() < 0.5)
         for var in variables
@@ -296,15 +305,15 @@ def _tiny_games(agents, variables):
         actions = tuple(f"d{i}" for i in range(n_actions))
         outcomes = tuple(f"o{i}" for i in range(n_outcomes))
         pairs = [
-            (state, combo)
+            (state, profile)
             for state in states
-            for combo in product(actions, repeat=len(agents))
+            for profile in _profiles(agents, actions)
         ]
         partition_choices = list(product(*[_partitions(states) for _ in agents]))
         for assignment in product(outcomes, repeat=len(pairs)):
             plays = tuple(
-                Play(state, dict(zip(agents, combo)), outcome)
-                for (state, combo), outcome in zip(pairs, assignment)
+                Play(state, profile, outcome)
+                for (state, profile), outcome in zip(pairs, assignment)
             )
             n = len(plays)
             for parts in partition_choices:

@@ -194,28 +194,26 @@ def is_tautology_instance(f: Formula, max_atoms: int = DEFAULT_ATOM_BUDGET) -> b
             masks[j] |= masks[j] << width
         masks[i] = ((1 << width) - 1) << width
         width <<= 1
-    env = dict(zip(atoms, masks))
+    return _table(f, dict(zip(atoms, masks)), full, {}) == full
 
-    memo = {}
 
-    def table(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if node in env:
-            value = env[node]
-        else:
-            match node:
-                case Neg(inner):
-                    value = full & ~table(inner)
-                case Implies(lhs, rhs):
-                    value = full & (~table(lhs) | table(rhs))
-                case _:
-                    raise TypeError(f"not a formula node: {node!r}")
-        memo[key] = value
-        return value
-
-    return table(f) == full
+def _table(node: Formula, env: dict, full: int, memo: dict) -> int:
+    """Truth-table bitmask of node; memo maps id(node) -> mask within one call."""
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    if node in env:
+        value = env[node]
+    else:
+        match node:
+            case Neg(inner):
+                value = full & ~_table(inner, env, full, memo)
+            case Implies(lhs, rhs):
+                value = full & (~_table(lhs, env, full, memo) | _table(rhs, env, full, memo))
+            case _:
+                raise TypeError(f"not a formula node: {node!r}")
+    memo[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------

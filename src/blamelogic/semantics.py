@@ -36,29 +36,42 @@ from .syntax import Blames, Formula, Implies, Knows, Neg, Var, formula_agents
 
 
 class _Masks:
-    """Play sets of one game as bitmasks; coalition classes fill in lazily."""
+    """Play sets of one game as bitmasks; coalition classes fill in lazily.
+
+    Action masks are built once per distinct profile object: every play
+    first ORs its bit into its profile's mask.  Loaded and generated games
+    share one profile object among all plays with that profile.
+    """
 
     __slots__ = ("full", "var", "state", "act", "index", "classes")
 
     def __init__(self, game: Game):
         n = len(game.plays)
         self.full = (1 << n) - 1
-        self.state = {}
-        self.act = {}  # (agent, action) -> plays where agent took action
-        self.index = {}  # id(play) -> first index of that object
-        for i, play in enumerate(game.plays):
-            bit = 1 << i
-            self.state[play.state] = self.state.get(play.state, 0) | bit
-            for key in play.profile.items():
-                self.act[key] = self.act.get(key, 0) | bit
-            self.index.setdefault(id(play), i)
-        self.var = {}
+        self.state = state = {}
+        groups = {}  # id(profile) -> [profile, plays holding that object]
+        bit = 1
+        for play in game.plays:
+            state[play.state] = state.get(play.state, 0) | bit
+            profile = play.profile
+            group = groups.get(id(profile))
+            if group is None:
+                groups[id(profile)] = [profile, bit]
+            else:
+                group[1] |= bit
+            bit <<= 1
+        self.act = act = {}  # (agent, action) -> plays where agent took action
+        for profile, mask in groups.values():
+            for key in profile.items():
+                act[key] = act.get(key, 0) | mask
+        self.var = var = {}
         for name, indices in game.valuation.items():
             mask = 0
             for i in indices:
                 if 0 <= i < n:
                     mask |= 1 << i
-            self.var[name] = mask
+            var[name] = mask
+        self.index = None  # id(play) -> first index of that object, on first use
         self.classes = {}
 
 
@@ -115,45 +128,49 @@ def _check_agents(game: Game, agents):
 def extension_mask(game: Game, formula: Formula) -> int:
     """The formula's extension as an int whose bit i is set iff it holds at play i."""
     _check_agents(game, formula_agents(formula))
-    masks = _masks_of(game)
-    full, actions = masks.full, game.actions
-    memo = {}
+    return _ext(formula, game, _masks_of(game), {})
 
-    def ext(f):
-        mask = memo.get(id(f))
-        if mask is not None:
-            return mask
-        match f:
-            case Var(name):
-                mask = masks.var.get(name, 0)
-            case Neg(inner):
-                mask = full ^ ext(inner)
-            case Implies(lhs, rhs):
-                mask = (full ^ ext(lhs)) | ext(rhs)
-            case Knows(c, inner):
-                false = full ^ ext(inner)
-                mask = 0
-                for block in _classes(game, masks, c):
-                    if not block & false:
-                        mask |= block
-            case Blames(c, inner):
-                true = ext(inner)
-                members = sorted(c)
-                mask = 0
-                for block in _classes(game, masks, c):
-                    rest = block & true
-                    if rest and _prevent(rest, members, actions, masks.act) is not None:
-                        mask |= rest
-            case _:
-                raise TypeError(f"not a formula node: {f!r}")
-        memo[id(f)] = mask
+
+def _ext(f: Formula, game: Game, masks: _Masks, memo: dict) -> int:
+    """extension_mask of f; memo maps id(node) -> mask within one call."""
+    mask = memo.get(id(f))
+    if mask is not None:
         return mask
-
-    return ext(formula)
+    full = masks.full
+    match f:
+        case Var(name):
+            mask = masks.var.get(name, 0)
+        case Neg(inner):
+            mask = full ^ _ext(inner, game, masks, memo)
+        case Implies(lhs, rhs):
+            mask = (full ^ _ext(lhs, game, masks, memo)) | _ext(rhs, game, masks, memo)
+        case Knows(c, inner):
+            false = full ^ _ext(inner, game, masks, memo)
+            mask = 0
+            for block in _classes(game, masks, c):
+                if not block & false:
+                    mask |= block
+        case Blames(c, inner):
+            true = _ext(inner, game, masks, memo)
+            members = sorted(c)
+            mask = 0
+            for block in _classes(game, masks, c):
+                rest = block & true
+                if rest and _prevent(rest, members, game.actions, masks.act) is not None:
+                    mask |= rest
+        case _:
+            raise TypeError(f"not a formula node: {f!r}")
+    memo[id(f)] = mask
+    return mask
 
 
 def _locate(game: Game, play: Play) -> int:
-    i = _masks_of(game).index.get(id(play))
+    masks = _masks_of(game)
+    if masks.index is None:
+        # built from the last play back, so the first index of an object wins
+        plays = game.plays
+        masks.index = dict(zip(map(id, reversed(plays)), range(len(plays) - 1, -1, -1)))
+    i = masks.index.get(id(play))
     if i is not None and game.plays[i] is play:
         return i
     for i, p in enumerate(game.plays):

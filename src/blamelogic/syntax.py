@@ -121,22 +121,21 @@ def formula_vars(f: Formula) -> frozenset:
 def atom_list(f: Formula) -> list:
     """Modal atoms of f in first-encounter (preorder) order, deduplicated."""
     out = []
-    seen = set()
-
-    def walk(node):
-        match node:
-            case Var() | Knows() | Blames():
-                if node not in seen:
-                    seen.add(node)
-                    out.append(node)
-            case Neg(inner):
-                walk(inner)
-            case Implies(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-
-    walk(f)
+    _collect_atoms(f, set(), out)
     return out
+
+
+def _collect_atoms(node: Formula, seen: set, out: list):
+    match node:
+        case Var() | Knows() | Blames():
+            if node not in seen:
+                seen.add(node)
+                out.append(node)
+        case Neg(inner):
+            _collect_atoms(inner, seen, out)
+        case Implies(lhs, rhs):
+            _collect_atoms(lhs, seen, out)
+            _collect_atoms(rhs, seen, out)
 
 
 def modal_atoms(f: Formula) -> set:
@@ -332,22 +331,22 @@ def print_formula(f: Formula) -> str:
     parse_formula(print_formula(f)) is structurally equal to f for every
     formula whose variable names avoid the reserved words true/false.
     """
+    return _render(f, False)
 
-    def render(node, parenthesize_implies):
-        match node:
-            case Var(name):
-                if name in RESERVED_WORDS:
-                    raise ValueError(f"reserved word used as variable name: {name}")
-                return name
-            case Neg(inner):
-                return "~" + render(inner, True)
-            case Knows(c, inner):
-                return "K" + format_coalition(c) + render(inner, True)
-            case Blames(c, inner):
-                return "B" + format_coalition(c) + render(inner, True)
-            case Implies(lhs, rhs):
-                body = render(lhs, True) + " -> " + render(rhs, False)
-                return "(" + body + ")" if parenthesize_implies else body
-        raise TypeError(f"not a formula node: {node!r}")
 
-    return render(f, False)
+def _render(node: Formula, parenthesize_implies: bool) -> str:
+    match node:
+        case Var(name):
+            if name in RESERVED_WORDS:
+                raise ValueError(f"reserved word used as variable name: {name}")
+            return name
+        case Neg(inner):
+            return "~" + _render(inner, True)
+        case Knows(c, inner):
+            return "K" + format_coalition(c) + _render(inner, True)
+        case Blames(c, inner):
+            return "B" + format_coalition(c) + _render(inner, True)
+        case Implies(lhs, rhs):
+            body = _render(lhs, True) + " -> " + _render(rhs, False)
+            return "(" + body + ")" if parenthesize_implies else body
+    raise TypeError(f"not a formula node: {node!r}")

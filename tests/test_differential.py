@@ -5,15 +5,22 @@ states, 3 actions), checked for every coalition in K and B, and hand-built
 games that break totality, so that some profiles have no play and prevent
 vacuously.  Every play is compared: evaluate, extension, and blame_witness
 against the oracle's first preventing profile in product order.
+
+Each game is checked in two forms that build the engine's action masks
+differently: with one profile object shared by all plays with that
+profile, as loaded and generated games have, and with one dict per play,
+as games built in code usually have.  Generated games are also checked
+after a dump and load round trip.
 """
 
+from dataclasses import replace
 from itertools import product
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _helpers import naive_evaluate, naive_witness
-from blamelogic.game import Game, Play
+from blamelogic.game import Game, Play, dump_game, load_game
 from blamelogic.generator import GenParams, gen_game
 from blamelogic.semantics import blame_witness, evaluate, extension
 from blamelogic.syntax import Blames, Implies, Knows, Neg, Var
@@ -104,38 +111,62 @@ def non_total_games(draw):
     return Game(agents, states, indist, actions, ("o0", "o1"), plays, valuation)
 
 
-def _agree(game, formula):
-    expected = {i for i, p in enumerate(game.plays) if naive_evaluate(game, p, formula)}
-    assert extension(game, formula) == expected
-    for i, play in enumerate(game.plays):
-        assert evaluate(game, play, formula) == (i in expected)
+def _unshared(game):
+    """The same game with one fresh profile dict per play."""
+    plays = tuple(Play(p.state, dict(p.profile), p.outcome) for p in game.plays)
+    return replace(game, plays=plays)
 
 
-def _witnesses_agree(game, coalition, formula):
-    for play in game.plays:
-        expected = naive_witness(game, play, coalition, formula)
-        w = blame_witness(game, play, coalition, formula)
-        assert (None if w is None else w.choice) == expected
-        blamed = evaluate(game, play, Blames(coalition, formula))
-        assert blamed == (expected is not None)
+def _shared(game):
+    """The same game with one profile object per distinct profile."""
+    one = {}
+    plays = tuple(
+        Play(p.state, one.setdefault(tuple(sorted(p.profile.items())), p.profile), p.outcome)
+        for p in game.plays
+    )
+    return replace(game, plays=plays)
+
+
+def _agree(games, formula):
+    expected = {
+        i for i, p in enumerate(games[0].plays) if naive_evaluate(games[0], p, formula)
+    }
+    for game in games:
+        assert extension(game, formula) == expected
+        for i, play in enumerate(game.plays):
+            assert evaluate(game, play, formula) == (i in expected)
+
+
+def _witnesses_agree(games, coalition, formula):
+    for i, play in enumerate(games[0].plays):
+        expected = naive_witness(games[0], play, coalition, formula)
+        for game in games:
+            play = game.plays[i]
+            w = blame_witness(game, play, coalition, formula)
+            assert (None if w is None else w.choice) == expected
+            blamed = evaluate(game, play, Blames(coalition, formula))
+            assert blamed == (expected is not None)
 
 
 @slow(max_examples=6)
 @given(st.data())
 def test_engine_matches_oracle_at_generator_ceiling(data):
-    game = data.draw(ceiling_games())
+    generated = data.draw(ceiling_games())
+    games = [generated, _unshared(generated), load_game(dump_game(generated))]
+    assert games[1] == generated and games[2] == generated
     psi = data.draw(propositional(("p0", "p1")))
-    _agree(game, psi)
-    for c in _coalitions(game.agents):
-        _agree(game, Knows(c, psi))
-        _witnesses_agree(game, c, psi)
+    _agree(games, psi)
+    for c in _coalitions(generated.agents):
+        _agree(games, Knows(c, psi))
+        _witnesses_agree(games, c, psi)
 
 
 @slow(max_examples=100)
 @given(st.data())
 def test_engine_matches_oracle_on_non_total_games(data):
-    game = data.draw(non_total_games())
-    f = data.draw(formulas(("p", "q"), game.agents, max_leaves=3))
-    _agree(game, f)
-    for c in _coalitions(game.agents):
-        _witnesses_agree(game, c, f)
+    built = data.draw(non_total_games())
+    games = [built, _shared(built)]
+    f = data.draw(formulas(("p", "q"), built.agents, max_leaves=3))
+    _agree(games, f)
+    for c in _coalitions(built.agents):
+        _witnesses_agree(games, c, f)

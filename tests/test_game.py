@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -263,3 +264,267 @@ def test_loader_is_total_over_junk(text):
 def test_loader_rejects_bad_documents_with_declared_errors(doc):
     with pytest.raises((FormatError, ValidationError)):
         game_from_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# Golden table: the loader's exact verdict on malformed documents
+
+
+def _total_plays():
+    return [
+        {"state": s, "profile": {"a": x, "b": y}, "outcome": "o"}
+        for s in ("s", "t")
+        for x, y in product(("x", "y"), repeat=2)
+    ]
+
+
+def _golden_doc(**overrides):
+    out = {
+        "agents": ["a", "b"],
+        "states": ["s", "t"],
+        "actions": ["x", "y"],
+        "outcomes": ["o", "p"],
+        "plays": _total_plays(),
+        "valuation": {"v": [0, 7]},
+    }
+    out.update(overrides)
+    return out
+
+
+def _with_play(i, **fields):
+    plays = _total_plays()
+    plays[i] = {**plays[i], **fields}
+    return plays
+
+
+_EXTRA = {"a": "x", "b": "x", "c": "x"}
+
+GOLDEN_DOCUMENTS = {
+    "unknown state": _golden_doc(plays=_with_play(1, state="u")),
+    "unknown outcome": _golden_doc(plays=_with_play(2, outcome="q")),
+    "unknown action": _golden_doc(plays=_with_play(3, profile={"a": "x", "b": "z"})),
+    "unknown action for two agents": _golden_doc(
+        plays=_with_play(0, profile={"b": "w", "a": "z"})
+    ),
+    "profile missing an agent": _golden_doc(plays=_with_play(0, profile={"a": "x"})),
+    "profile with an extra agent": _golden_doc(plays=_with_play(0, profile=_EXTRA)),
+    "duplicate play": _golden_doc(plays=_total_plays() + [_total_plays()[5]]),
+    "duplicate play, profile keys reordered": _golden_doc(
+        plays=_total_plays()
+        + [{"state": "t", "profile": {"b": "y", "a": "x"}, "outcome": "o"}]
+    ),
+    "plays differing only in an extra agent's action": _golden_doc(
+        plays=_total_plays()
+        + [
+            {"state": "s", "profile": _EXTRA, "outcome": "o"},
+            {"state": "s", "profile": {**_EXTRA, "c": "y"}, "outcome": "o"},
+        ]
+    ),
+    "same extra-agent play twice": _golden_doc(
+        plays=_total_plays() + [{"state": "s", "profile": _EXTRA, "outcome": "p"}] * 2
+    ),
+    "totality, one profile missing": _golden_doc(plays=_total_plays()[:-1], valuation={}),
+    "totality, three profiles missing": _golden_doc(plays=_total_plays()[:5], valuation={}),
+    "totality, extra agent still covers": _golden_doc(
+        plays=_total_plays()[:-1]
+        + [{"state": "t", "profile": {"a": "y", "b": "y", "c": "x"}, "outcome": "o"}],
+        valuation={},
+    ),
+    "everything wrong in one play, twice": _golden_doc(
+        plays=_total_plays()
+        + [{"state": "u", "profile": {"a": "z", "b": "x"}, "outcome": "q"}] * 2
+    ),
+    "valuation index out of range": _golden_doc(valuation={"v": [0, 8], "w": [-1, 3]}),
+    "valuation bool index": _golden_doc(valuation={"v": [True]}),
+    "valuation float index": _golden_doc(valuation={"v": [1.0]}),
+    "non-string profile value": _golden_doc(plays=_with_play(2, profile={"a": "x", "b": 1})),
+    "list as a profile value": _golden_doc(
+        plays=_with_play(2, profile={"a": "x", "b": ["y"]})
+    ),
+    "list as a profile value, after a good copy": _golden_doc(
+        plays=_total_plays()
+        + [{"state": "s", "profile": {"a": "x", "b": ["x"]}, "outcome": "o"}]
+    ),
+    "play not an object": _golden_doc(plays=_total_plays()[:3] + [["s", {"a": "x"}, "o"]]),
+    "play missing its state": _golden_doc(
+        plays=_total_plays()[:1] + [{"profile": {"a": "x", "b": "x"}, "outcome": "o"}]
+    ),
+    "play missing its outcome": _golden_doc(
+        plays=[{"state": "s", "profile": {"a": "x", "b": "x"}}]
+    ),
+    "play missing its profile": _golden_doc(plays=[{"state": "s", "outcome": "o"}]),
+    "state not a string": _golden_doc(plays=_with_play(4, state=4)),
+    "outcome null": _golden_doc(plays=_with_play(4, outcome=None)),
+    "profile a list": _golden_doc(plays=_with_play(6, profile=["x", "y"])),
+}
+
+GOLDEN_VERDICTS = {
+    "unknown state": ("ValidationError", (
+        "play 1 references unknown state: u",
+        "totality violated at (s, {'a': 'x', 'b': 'y'})",
+    )),
+    "unknown outcome": ("ValidationError", ("play 2 references unknown outcome: q",)),
+    "unknown action": ("ValidationError", (
+        "play 3 references unknown action: z",
+        "totality violated at (s, {'a': 'y', 'b': 'y'})",
+    )),
+    "unknown action for two agents": ("ValidationError", (
+        "play 0 references unknown action: w",
+        "play 0 references unknown action: z",
+        "totality violated at (s, {'a': 'x', 'b': 'x'})",
+    )),
+    "profile missing an agent": ("ValidationError", (
+        "play 0 profile domain is not exactly the agent set",
+        "totality violated at (s, {'a': 'x', 'b': 'x'})",
+    )),
+    "profile with an extra agent": ("ValidationError", (
+        "play 0 profile domain is not exactly the agent set",
+    )),
+    "duplicate play": ("ValidationError", ("duplicate play at index 8",)),
+    "duplicate play, profile keys reordered": ("ValidationError", (
+        "duplicate play at index 8",
+    )),
+    "plays differing only in an extra agent's action": ("ValidationError", (
+        "play 8 profile domain is not exactly the agent set",
+        "play 9 profile domain is not exactly the agent set",
+    )),
+    "same extra-agent play twice": ("ValidationError", (
+        "play 8 profile domain is not exactly the agent set",
+        "play 9 profile domain is not exactly the agent set",
+        "duplicate play at index 9",
+    )),
+    "totality, one profile missing": ("ValidationError", (
+        "totality violated at (t, {'a': 'y', 'b': 'y'})",
+    )),
+    "totality, three profiles missing": ("ValidationError", (
+        "totality violated at (t, {'a': 'x', 'b': 'y'}) (3 profiles missing)",
+    )),
+    "totality, extra agent still covers": ("ValidationError", (
+        "play 7 profile domain is not exactly the agent set",
+    )),
+    "everything wrong in one play, twice": ("ValidationError", (
+        "play 8 references unknown state: u",
+        "play 8 references unknown outcome: q",
+        "play 8 references unknown action: z",
+        "play 9 references unknown state: u",
+        "play 9 references unknown outcome: q",
+        "play 9 references unknown action: z",
+        "duplicate play at index 9",
+    )),
+    "valuation index out of range": ("ValidationError", (
+        "valuation index out of range: v -> 8",
+        "valuation index out of range: w -> -1",
+    )),
+    "valuation bool index": ("FormatError", "valuation for 'v' must be a list of integers"),
+    "valuation float index": ("FormatError", "valuation for 'v' must be a list of integers"),
+    "non-string profile value": ("FormatError", "play 2: profile entries must be strings"),
+    "list as a profile value": ("FormatError", "play 2: profile entries must be strings"),
+    "list as a profile value, after a good copy": (
+        "FormatError", "play 8: profile entries must be strings"
+    ),
+    "play not an object": ("FormatError", "play 3 must be an object"),
+    "play missing its state": ("FormatError", "play 1: missing field 'state'"),
+    "play missing its outcome": ("FormatError", "play 0: missing field 'outcome'"),
+    "play missing its profile": ("FormatError", "play 0: missing field 'profile'"),
+    "state not a string": ("FormatError", "play 4: field 'state' must be a str"),
+    "outcome null": ("FormatError", "play 4: field 'outcome' must be a str"),
+    "profile a list": ("FormatError", "play 6: field 'profile' must be a dict"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_loader_golden_table(name):
+    text = json.dumps(GOLDEN_DOCUMENTS[name])
+    kind, expected = GOLDEN_VERDICTS[name]
+    if kind == "FormatError":
+        with pytest.raises(FormatError) as err:
+            load_game(text)
+        assert str(err.value) == expected
+    else:
+        with pytest.raises(ValidationError) as err:
+            load_game(text)
+        assert err.value.violations == expected
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (kind, _) in GOLDEN_VERDICTS.items() if kind == "ValidationError")
+)
+def test_validator_verdict_does_not_depend_on_shared_profiles(name):
+    # the loader shares one profile object among equal profiles; a game
+    # built in code, one dict per play, must get the same violations
+    raw = GOLDEN_DOCUMENTS[name]
+    game = Game(
+        agents=tuple(raw["agents"]),
+        states=tuple(raw["states"]),
+        indist={a: (frozenset({"s"}), frozenset({"t"})) for a in raw["agents"]},
+        actions=tuple(raw["actions"]),
+        outcomes=tuple(raw["outcomes"]),
+        plays=tuple(Play(p["state"], dict(p["profile"]), p["outcome"]) for p in raw["plays"]),
+        valuation={v: frozenset(ix) for v, ix in raw["valuation"].items()},
+    )
+    assert validate_game(game).violations == GOLDEN_VERDICTS[name][1]
+
+
+# ---------------------------------------------------------------------------
+# Read-only game data
+
+
+def test_loaded_games_are_read_only(truck_manual):
+    with pytest.raises(TypeError):
+        truck_manual.plays[0].profile["c"] = "slow-down"
+    with pytest.raises(TypeError):
+        truck_manual.indist["c"] = ()
+    with pytest.raises(TypeError):
+        truck_manual.valuation["col"] = frozenset()
+    assert truck_manual.plays[0].profile == {"c": "speed-up"}
+    assert truck_manual.valuation["col"] == frozenset({0, 3})
+
+
+def test_built_games_get_read_only_copies_of_their_mappings():
+    indist = {"c": (frozenset({"high", "low"}),)}
+    valuation = {"col": frozenset({0})}
+    game = Game(("c",), ("high", "low"), indist, ("d",), ("o",), (), valuation)
+    valuation["col"] = frozenset({1})
+    indist["c"] = ()
+    assert game.valuation == {"col": frozenset({0})}
+    assert game.indist == {"c": (frozenset({"high", "low"}),)}
+    with pytest.raises(TypeError):
+        game.valuation["col"] = frozenset()
+    with pytest.raises(TypeError):
+        game.indist["c"] = ()
+
+
+def test_loaded_plays_share_one_profile_per_distinct_profile():
+    g = load_game(json.dumps(_golden_doc()))
+    profiles = {id(p.profile) for p in g.plays}
+    assert len(profiles) == 4  # two states, four profiles
+    assert g.plays[0].profile is g.plays[4].profile
+
+
+def test_loaded_profiles_equal_the_documents():
+    # agent order varies between plays; equal values in another order are
+    # a different profile, and no play may get another play's profile
+    plays = _total_plays()
+    for play in plays[4:]:
+        play["profile"] = dict(reversed(play["profile"].items()))
+    g = load_game(json.dumps(_golden_doc(plays=plays)))
+    assert [p.profile for p in g.plays] == [p["profile"] for p in plays]
+    assert [list(p.profile) for p in g.plays] == [list(p["profile"]) for p in plays]
+
+
+def test_built_and_loaded_games_compare_equal(truck_manual):
+    built = Game(
+        agents=("c",),
+        states=("high", "low"),
+        indist={"c": (frozenset({"high", "low"}),)},
+        actions=("speed-up", "slow-down"),
+        outcomes=("collision", "no-collision"),
+        plays=tuple(
+            Play(p.state, dict(p.profile), p.outcome) for p in truck_manual.plays
+        ),
+        valuation={"col": frozenset({0, 3})},
+    )
+    assert built == truck_manual
+    assert truck_manual == built
+    assert load_game(dump_game(built)) == built
+    assert dump_game(load_game(dump_game(truck_manual))) == dump_game(truck_manual)

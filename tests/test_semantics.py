@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -8,14 +9,16 @@ from _helpers import naive_evaluate, naive_indist
 from blamelogic.errors import PlayNotInGameError, UnknownAgentError
 from blamelogic.game import Game, Play, identity_partition, load_game
 from blamelogic.generator import GenParams, gen_formula, gen_game
+from blamelogic.hilbert import is_tautology_instance
 from blamelogic.semantics import (
     blame_witness,
     evaluate,
     extension,
+    extension_mask,
     is_valid,
     semantic_entailment,
 )
-from blamelogic.syntax import Blames, Knows, conj, parse_formula
+from blamelogic.syntax import Blames, Knows, conj, parse_formula, print_formula
 
 
 def test_blame_false_under_imperfect_information(truck_manual):
@@ -284,3 +287,25 @@ def test_nondeterministic_outcomes_all_must_falsify():
         valuation={"p": [0]},
     )
     assert evaluate(determined, determined.plays[0], parse_formula("B{a}p"))
+
+
+@pytest.mark.parametrize("name", ["extension_mask", "print_formula", "is_tautology_instance"])
+def test_hot_calls_leave_no_reference_cycles(truck_selfdriving, name):
+    # garbage in reference cycles waits for the cyclic collector, whose
+    # passes rescan every live object; these run thousands of times per
+    # proof check or sweep, so they must leave none
+    f = parse_formula("B{c}col -> K{c}(col | ~col) & (K{}col <-> ~B{c}~col)")
+    call = {
+        "extension_mask": lambda: extension_mask(truck_selfdriving, f),
+        "print_formula": lambda: print_formula(f),
+        "is_tautology_instance": lambda: is_tautology_instance(f),
+    }[name]
+    call()  # first-use caches are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
