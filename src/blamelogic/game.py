@@ -11,6 +11,10 @@ read-only profile, so the validator and the semantics module do their
 per-profile work once per distinct profile object, not once per play;
 plays built in code keep the profile object they were given.
 
+Indistinguishability is read from the partitions on demand: a state's key
+under an agent is the index of its first block (None if in none), and
+states are C-indistinguishable when their keys agree for all of C.
+
 The on-disk format is a single JSON document; see load_game / dump_game.
 Agents absent from the "indist" map get the identity partition (perfect
 information by default).
@@ -64,7 +68,6 @@ class Game:
     outcomes: tuple
     plays: tuple  # of Play
     valuation: dict  # variable name -> frozenset of play indices
-    _block_of: dict = field(init=False, compare=False, repr=False, default=None)
     # play-set bitmasks, built on first use by the semantics module
     _masks: object = field(init=False, compare=False, repr=False, default=None)
 
@@ -77,22 +80,28 @@ class Game:
         }
         object.__setattr__(self, "indist", MappingProxyType(canonical))
         object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
-        block_of = {}
-        for agent, blocks in self.indist.items():
-            lookup = {}
-            for i, block in enumerate(blocks):
-                for state in block:
-                    lookup.setdefault(state, i)
-            block_of[agent] = lookup
-        object.__setattr__(self, "_block_of", block_of)
 
 
 def identity_partition(states) -> tuple:
     return tuple(frozenset([s]) for s in states)
 
 
+def _block_index(game: Game, agent) -> dict:
+    """State -> index of its first block in the agent's partition; a state
+    in no block is left out (key None).  Raises UnknownAgentError unless the
+    agent is in both game.agents and game.indist."""
+    blocks = game.indist.get(agent) if agent in game.agents else None
+    if blocks is None:
+        raise UnknownAgentError(f"unknown agent: {agent}")
+    index = {}
+    for i, block in enumerate(blocks):
+        for state in block:
+            index.setdefault(state, i)
+    return index
+
+
 def indistinguishable(game: Game, coalition, s1: str, s2: str) -> bool:
-    """True iff s1 and s2 fall in the same block for every coalition member.
+    """True iff s1 and s2 have the same block key for every coalition member.
 
     The empty coalition relates any two states.
     """
@@ -100,10 +109,8 @@ def indistinguishable(game: Game, coalition, s1: str, s2: str) -> bool:
         if s not in game.states:
             raise UnknownStateError(f"unknown state: {s}")
     for agent in coalition:
-        lookup = game._block_of.get(agent)
-        if lookup is None:
-            raise UnknownAgentError(f"unknown agent: {agent}")
-        if lookup.get(s1) != lookup.get(s2):
+        index = _block_index(game, agent)
+        if index.get(s1) != index.get(s2):
             return False
     return True
 
@@ -265,24 +272,6 @@ def _string_list(doc, key):
     return tuple(values)
 
 
-def _profile_copy(profile, i):
-    for k, v in profile.items():
-        if not isinstance(k, str) or not isinstance(v, str):
-            raise FormatError(f"play {i}: profile entries must be strings")
-    return MappingProxyType(dict(profile))
-
-
-def _play_from_entry(entry, i):
-    """One play, checked field by field: the loader's path for every entry
-    that is not a dict with str state and outcome and a dict profile."""
-    if not isinstance(entry, dict):
-        raise FormatError(f"play {i} must be an object")
-    state = _require(entry, "state", str, where=f"play {i}")
-    outcome = _require(entry, "outcome", str, where=f"play {i}")
-    profile = _require(entry, "profile", dict, where=f"play {i}")
-    return Play(state, _profile_copy(profile, i), outcome)
-
-
 def game_from_document(doc: dict) -> Game:
     """Build a Game from a parsed document; raises FormatError/ValidationError."""
     if not isinstance(doc, dict):
@@ -309,21 +298,24 @@ def game_from_document(doc: dict) -> Game:
     plays = []
     shared = {}  # profile entries -> the one read-only copy of that profile
     for i, entry in enumerate(plays_doc):
-        if type(entry) is dict:
-            state = entry.get("state")
-            outcome = entry.get("outcome")
-            profile = entry.get("profile")
-            if type(state) is str and type(outcome) is str and type(profile) is dict:
-                key = tuple(profile.items())
-                try:
-                    copy = shared.get(key)
-                except TypeError:  # an unhashable entry, rejected below
-                    copy = None
-                if copy is None:
-                    copy = shared[key] = _profile_copy(profile, i)
-                plays.append(Play(state, copy, outcome))
-                continue
-        plays.append(_play_from_entry(entry, i))
+        if not isinstance(entry, dict):
+            raise FormatError(f"play {i} must be an object")
+        state, outcome, profile = entry.get("state"), entry.get("outcome"), entry.get("profile")
+        if not (isinstance(state, str) and isinstance(outcome, str)
+                and isinstance(profile, dict)):
+            # raises, naming the first bad field in this order
+            for name, typ in (("state", str), ("outcome", str), ("profile", dict)):
+                _require(entry, name, typ, where=f"play {i}")
+        key = tuple(profile.items())
+        try:
+            copy = shared.get(key)
+        except TypeError:  # an unhashable entry, rejected below
+            copy = None
+        if copy is None:
+            if not all(isinstance(k, str) and isinstance(v, str) for k, v in key):
+                raise FormatError(f"play {i}: profile entries must be strings")
+            copy = shared[key] = MappingProxyType(dict(profile))
+        plays.append(Play(state, copy, outcome))
 
     valuation_doc = doc.get("valuation", {})
     if not isinstance(valuation_doc, dict):

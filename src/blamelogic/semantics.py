@@ -10,6 +10,10 @@ A formula is evaluated at a play (state, complete action profile, outcome):
     falsifies f at every play that is C-indistinguishable from here and
     agrees with that choice on C's members.
 
+A state's C-class is keyed by its block keys under C's members (distributed
+knowledge), so one pass over the states builds C's classes; building them
+raises UnknownAgentError for an agent the game does not know.
+
 Both modalities depend on the play only through its C-class, so the engine
 computes a formula's extension over all plays at once, bottom-up, as an
 int bitmask (bit i is play i), the way global CTL model checking does.
@@ -30,9 +34,9 @@ reference back to it.  Every public function is a view of one mask.
 
 from __future__ import annotations
 
-from .errors import PlayNotInGameError, UnknownAgentError
-from .game import Game, Play, Strategy, indistinguishable
-from .syntax import Blames, Formula, Implies, Knows, Neg, Var, formula_agents
+from .errors import PlayNotInGameError
+from .game import Game, Play, Strategy, _block_index
+from .syntax import Blames, Formula, Implies, Knows, Neg, Var
 
 
 class _Masks:
@@ -84,19 +88,16 @@ def _masks_of(game: Game) -> _Masks:
 
 
 def _classes(game: Game, masks: _Masks, coalition) -> tuple:
-    """Play masks of the coalition's indistinguishability classes."""
+    """Play masks of the coalition's indistinguishability classes, grouping
+    the states by their tuple of block keys under the sorted members."""
     classes = masks.classes.get(coalition)
     if classes is None:
-        reps, blocks = [], []
+        indexes = [_block_index(game, agent) for agent in sorted(coalition)]
+        groups = {}
         for s in game.states:
-            for k, r in enumerate(reps):
-                if indistinguishable(game, coalition, s, r):
-                    blocks[k] |= masks.state.get(s, 0)
-                    break
-            else:
-                reps.append(s)
-                blocks.append(masks.state.get(s, 0))
-        classes = masks.classes[coalition] = tuple(b for b in blocks if b)
+            key = tuple(index.get(s) for index in indexes)
+            groups[key] = groups.get(key, 0) | masks.state.get(s, 0)
+        classes = masks.classes[coalition] = tuple(b for b in groups.values() if b)
     return classes
 
 
@@ -119,15 +120,8 @@ def _prevent(rest: int, members, actions, act: dict):
     return None
 
 
-def _check_agents(game: Game, agents):
-    unknown = set(agents) - set(game.agents)
-    if unknown:
-        raise UnknownAgentError(f"unknown agent: {sorted(unknown)[0]}")
-
-
 def extension_mask(game: Game, formula: Formula) -> int:
     """The formula's extension as an int whose bit i is set iff it holds at play i."""
-    _check_agents(game, formula_agents(formula))
     return _ext(formula, game, _masks_of(game), {})
 
 
@@ -204,18 +198,16 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
     """
     coalition = frozenset(coalition)
     true = extension_mask(game, formula)
-    _check_agents(game, coalition)
+    masks = _masks_of(game)
+    classes = _classes(game, masks, coalition)  # raises on an unknown member
     bit = 1 << _locate(game, play)
     if not true & bit:
         return None
-    masks = _masks_of(game)
     members = sorted(coalition)
-    for block in _classes(game, masks, coalition):
+    for block in classes:
         if block & bit:
             choice = _prevent(block & true, members, game.actions, masks.act)
-            if choice is None:
-                return None
-            return Strategy(coalition, dict(zip(members, choice)))
+            return None if choice is None else Strategy(coalition, dict(zip(members, choice)))
     return None
 
 

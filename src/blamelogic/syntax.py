@@ -19,7 +19,10 @@ recursive descent reads the token kinds and texts by index.  The parser
 rejects any formula whose AST, after sugar expansion, is more than
 MAX_DEPTH levels deep, so that hashing, comparing, printing and evaluating
 a parsed formula (all recursive) stay far below the interpreter's
-recursion limit.
+recursion limit.  It also rejects an AST of more than MAX_NODES nodes
+counted as a tree: `<->` shares its operands, so its expansion doubles
+with each nesting, and text like `p <-> p <-> ... <-> p` would otherwise
+parse quickly into a formula that takes seconds to print or check.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ Coalition = frozenset  # frozenset of agent name strings
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 RESERVED_WORDS = frozenset({"true", "false"})
 MAX_DEPTH = 200  # deepest AST that parse_formula returns
+MAX_NODES = 10**5  # most AST nodes, counted as a tree, that parse_formula returns
 
 
 @dataclass(frozen=True)
@@ -193,22 +197,30 @@ def _byte_offset(text: str, k: int) -> int:
     return len(text[: starts[k] if k < len(starts) else len(text)].encode("utf-8"))
 
 
-def _too_deep(f: Formula) -> bool:
+def _check_size(f: Formula):
+    """Raise ParseError if f's expanded tree is too deep or too large."""
     # level by level, a lone Var being one level; a subtree that `<->`
-    # shares is visited once per level
-    level = [f]
+    # shares is visited once per level, with the number of its occurrences
+    level = {id(f): [f, 1]}
+    nodes = 0
     for _ in range(MAX_DEPTH):
         below = {}
-        for node in level:
-            if type(node) is Implies:
-                below[id(node.lhs)] = node.lhs
-                below[id(node.rhs)] = node.rhs
-            elif type(node) is not Var:
-                below[id(node.inner)] = node.inner
+        for node, count in level.values():
+            nodes += count
+            if type(node) is Var:
+                continue
+            for child in (node.lhs, node.rhs) if type(node) is Implies else (node.inner,):
+                entry = below.get(id(child))
+                if entry is None:
+                    below[id(child)] = [child, count]
+                else:
+                    entry[1] += count
+        if nodes > MAX_NODES:
+            raise ParseError("formula too large")
         if not below:
-            return False
-        level = below.values()
-    return True
+            return
+        level = below
+    raise ParseError("formula nested too deeply")
 
 
 class _Parser:
@@ -306,7 +318,9 @@ def parse_formula(text: str) -> Formula:
     malformed input, and ParseError("formula nested too deeply") when the
     AST, after sugar expansion, is more than MAX_DEPTH levels deep (a lone
     variable is one level) or parentheses nest deeper than the recursion
-    limit allows (about 195 from a shallow stack).  An empty coalition
+    limit allows (about 195 from a shallow stack), and ParseError("formula
+    too large") when the AST, counted as a tree with shared subtrees once
+    per occurrence, has more than MAX_NODES nodes.  An empty coalition
     literal `{}` is legal.
     """
     p = _Parser(text)
@@ -316,8 +330,7 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("formula nested too deeply") from None
     if p.kinds[p.pos] != "EOF":
         p.fail({"EOF"})
-    if _too_deep(f):
-        raise ParseError("formula nested too deeply")
+    _check_size(f)
     return f
 
 

@@ -185,13 +185,14 @@ def negate_line(script, k):
     return ProofScript(script.premises, lines, script.goal)
 
 
-def identity_empty_indist(real):
-    """Mutant relation: the empty coalition relates only equal states."""
+def identity_empty_classes(real):
+    """Mutant of semantics._classes: the empty coalition gets one class per
+    state, so it relates only equal states."""
 
-    def mutant(game, coalition, s1, s2):
+    def mutant(game, masks, coalition):
         if not coalition:
-            return s1 == s2
-        return real(game, coalition, s1, s2)
+            return tuple(m for m in masks.state.values() if m)
+        return real(game, masks, coalition)
 
     return mutant
 

@@ -1,10 +1,14 @@
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import blamelogic
 from blamelogic import asset_path, cli, load_game
@@ -221,3 +225,112 @@ def test_bad_parameter_values_are_input_errors(capsys):
         captured = capsys.readouterr()
         assert code == 2, argv
         assert "error" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Junk input: mutated argv over every subcommand, junk game and proof files
+
+_TRUCK = json.loads(asset_path("truck_manual.game").read_text())
+_PROOFS = [asset_path(n).read_text() for n in ("lemma3.proof", "lemma5.proof")]
+_FORMULA_CHARS = "pqcolzKB{}(),~-><&| ;"
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=5),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=5), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _junk_game(draw):
+    """The truck game with a few fields replaced or dropped, or raw bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=40))
+    doc = copy.deepcopy(_TRUCK)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:  # a dict or list; descend only into nonempty ones
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            if draw(st.booleans()):
+                node[key] = draw(_JSON)
+            else:
+                del node[key]
+            break
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _junk_proof(draw):
+    """A corpus script with one slice replaced by junk, or raw bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=40))
+    text = draw(st.sampled_from(_PROOFS))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 20)))
+    junk = draw(st.text(alphabet=_FORMULA_CHARS + ".:#\n0123456789mptaxiomnec", max_size=20))
+    return (text[:i] + junk + text[j:]).encode()
+
+
+def _flag_values(tmp_path):
+    game, proof = str(tmp_path / "junk.game"), str(tmp_path / "junk.proof")
+    formula = st.sampled_from(["col", "B{c}col", "K{zz}col", "p -> p"]) | st.text(
+        _FORMULA_CHARS, max_size=30
+    )
+    small = st.sampled_from(["-1", "0", "1", "2", "x", "", "1.5"])
+    return {
+        "--game": st.sampled_from([game, proof, MANUAL, SELF, "no-such.game", str(tmp_path)]),
+        "--script": st.sampled_from([proof, game, "lemma5.proof", "no-such.proof", str(tmp_path)]),
+        "--play": small | st.integers(-5, 10).map(str),
+        "--formula": formula,
+        "--phi": formula,
+        "--premises": formula,
+        "--seed": small | st.integers(-3, 10**9).map(str),
+        # never dropped: their defaults make a run take seconds
+        "--trials": small,
+        "--budget": small,
+    }
+
+
+_SUBCOMMANDS = {
+    "eval": ("--game", "--play", "--formula"),
+    "extension": ("--game", "--formula"),
+    "validity": ("--game", "--formula"),
+    "witness": ("--game", "--play", "--formula"),
+    "entail": ("--game", "--formula", "--premises"),
+    "prove": ("--script",),
+    "deduce": ("--script", "--phi"),
+    "gen": ("--seed",),
+    "sweep": ("--trials", "--seed"),
+    "search": ("--formula", "--budget", "--seed"),
+}
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(st.data())
+def test_junk_input_exits_with_a_code_and_no_traceback(tmp_path, data):
+    (tmp_path / "junk.game").write_bytes(data.draw(_junk_game()))
+    (tmp_path / "junk.proof").write_bytes(data.draw(_junk_proof()))
+    values = _flag_values(tmp_path)
+    command = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [command]
+    for flag in _SUBCOMMANDS[command]:
+        if flag in ("--trials", "--budget") or data.draw(st.integers(0, 5)):
+            argv += [flag, data.draw(values[flag])]
+    extra = st.sampled_from(["--json", "--bogus", "--play", "frob", "-h", ""])
+    for _ in range(data.draw(st.integers(0, 2))):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(extra))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as e:  # argparse: usage errors and --help
+            code = e.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

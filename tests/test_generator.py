@@ -3,8 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from _helpers import identity_empty_indist
-from blamelogic import game as game_mod
+from _helpers import identity_empty_classes
 from blamelogic import semantics
 from blamelogic.game import validate_game
 from blamelogic.generator import (
@@ -116,8 +115,8 @@ def test_one_trial_checks_each_instance_at_every_play():
 
 
 def test_sweep_detects_a_corrupted_evaluator(monkeypatch):
-    mutant = identity_empty_indist(game_mod.indistinguishable)
-    monkeypatch.setattr(semantics, "indistinguishable", mutant)
+    mutant = identity_empty_classes(semantics._classes)
+    monkeypatch.setattr(semantics, "_classes", mutant)
     report = soundness_sweep(GenParams(seed=2), 120)
     assert report.violations, "mutated empty-coalition relation went unnoticed"
     # witnesses replay under the same (mutated) evaluator

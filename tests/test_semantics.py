@@ -2,15 +2,18 @@ import gc
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itertools import product
 
 from _helpers import naive_evaluate, naive_indist
 from blamelogic.errors import PlayNotInGameError, UnknownAgentError
-from blamelogic.game import Game, Play, identity_partition, load_game
+from blamelogic.game import Game, Play, identity_partition, indistinguishable, load_game
 from blamelogic.generator import GenParams, gen_formula, gen_game
 from blamelogic.hilbert import is_tautology_instance
 from blamelogic.semantics import (
+    _classes,
+    _masks_of,
     blame_witness,
     evaluate,
     extension,
@@ -86,12 +89,66 @@ def test_entailment_examples(truck_manual):
 
 
 def test_unknown_agent_rejected(truck_manual):
+    g = truck_manual
     with pytest.raises(UnknownAgentError):
-        evaluate(truck_manual, truck_manual.plays[0], parse_formula("K{zz}col"))
+        evaluate(g, g.plays[0], parse_formula("K{zz}col"))
     with pytest.raises(UnknownAgentError):
-        extension(truck_manual, parse_formula("B{zz}col"))
+        extension(g, parse_formula("B{zz}col"))
     with pytest.raises(UnknownAgentError):
-        blame_witness(truck_manual, truck_manual.plays[0], {"zz"}, parse_formula("col"))
+        blame_witness(g, g.plays[0], {"zz"}, parse_formula("col"))
+    # nested under another modality
+    with pytest.raises(UnknownAgentError):
+        evaluate(g, g.plays[0], parse_formula("K{c}~B{c,zz}col"))
+    # only in a premise
+    with pytest.raises(UnknownAgentError):
+        semantic_entailment(g, [parse_formula("K{zz}col")], parse_formula("col"))
+    with pytest.raises(UnknownAgentError):
+        is_valid(g, parse_formula("K{zz}col -> col"))
+    # the formula is false at the play, so no class is needed for the answer
+    assert evaluate(g, g.plays[3], parse_formula("col"))
+    with pytest.raises(UnknownAgentError):
+        blame_witness(g, g.plays[3], {"c", "zz"}, parse_formula("~col"))
+
+
+def test_unknown_agent_rejected_in_one_state_game():
+    # a hand-built game whose only agent has no partition: with one state
+    # there is no pair of states to compare, yet the agent is still unknown
+    play = Play("s", {"a": "d"}, "o")
+    g = Game(("a",), ("s",), {}, ("d",), ("o",), (play,), {"p": frozenset({0})})
+    with pytest.raises(UnknownAgentError):
+        evaluate(g, play, parse_formula("K{a}p"))
+    with pytest.raises(UnknownAgentError):
+        blame_witness(g, play, {"a"}, parse_formula("p"))
+
+
+@st.composite
+def _loose_partition_games(draw):
+    """Hand-built games whose blocks may overlap, be empty or miss states;
+    one play per state."""
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 5))))
+    agents = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    blocks = st.frozensets(st.sampled_from(states))
+    indist = {a: tuple(draw(st.lists(blocks, max_size=4))) for a in agents}
+    plays = tuple(Play(s, {a: "d" for a in agents}, "o") for s in states)
+    return Game(agents, states, indist, ("d",), ("o",), plays, {})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_loose_partition_games())
+def test_classes_group_states_as_indistinguishable(g):
+    masks = _masks_of(g)
+
+    def first_block(agent, s):
+        return next((i for i, b in enumerate(g.indist[agent]) if s in b), None)
+
+    for c in _coalitions(g.agents):
+        classes = _classes(g, masks, c)
+        for i, s1 in enumerate(g.states):
+            (home,) = [b for b in classes if b >> i & 1]  # play i is in one class
+            for j, s2 in enumerate(g.states):
+                same = indistinguishable(g, c, s1, s2)
+                assert same == all(first_block(a, s1) == first_block(a, s2) for a in c)
+                assert bool(home >> j & 1) == same
 
 
 def test_play_not_in_game(truck_manual):

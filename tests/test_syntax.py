@@ -9,6 +9,7 @@ from blamelogic.semantics import extension
 from blamelogic.syntax import (
     BOTTOM,
     MAX_DEPTH,
+    MAX_NODES,
     Blames,
     Implies,
     Knows,
@@ -300,3 +301,48 @@ def test_formulas_past_the_depth_limit_are_parse_errors(kind):
     with pytest.raises(ParseError) as err:
         parse_formula(_chain(kind, MAX_DEPTH + 1))
     assert str(err.value) == "formula nested too deeply"
+
+
+def _size(f):
+    # independent of the parser's own walk: nodes of the tree, shared
+    # subtrees counted once per occurrence
+    count, stack = 0, [f]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, Implies):
+            stack += [node.lhs, node.rhs]
+        elif not isinstance(node, Var):
+            stack.append(node.inner)
+    return count
+
+
+def _iff_chain(k):
+    # `p <-> p` k times over: 8 * 2**k - 7 nodes, since a <-> b expands to
+    # ~((a -> b) -> ~(b -> a))
+    return "p" + " <-> p" * k
+
+
+def _sized(n):
+    """Formula text whose AST has exactly n nodes, as `->` over iff chains."""
+    parts = []
+    while n > 1 or not parts:
+        cost = 1 if parts else 0  # the `->` that joins a further part
+        k = max(k for k in range(20) if 8 * 2**k - 7 + cost <= n)
+        parts.append(f"({_iff_chain(k)})")
+        n -= 8 * 2**k - 7 + cost
+    return "~" * n + "(" + " -> ".join(parts) + ")"
+
+
+def test_formulas_at_the_size_limit_parse():
+    f = parse_formula(_sized(MAX_NODES))
+    assert _size(f) == MAX_NODES
+    assert _depth(f) < MAX_DEPTH
+    assert _size(parse_formula(_iff_chain(13))) == 65529
+
+
+@pytest.mark.parametrize("text", [_sized(MAX_NODES + 1), _iff_chain(14), _iff_chain(16)])
+def test_formulas_past_the_size_limit_are_parse_errors(text):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == "formula too large"
