@@ -14,6 +14,7 @@ import blamelogic
 from blamelogic import asset_path, cli, load_game
 from blamelogic.cli import main
 from blamelogic.game import game_from_document
+from blamelogic.generator import SweepReport, SweepViolation
 from blamelogic.hilbert import check_proof, parse_proof
 from blamelogic.semantics import evaluate
 from blamelogic.syntax import parse_formula
@@ -334,3 +335,256 @@ def test_junk_input_exits_with_a_code_and_no_traceback(tmp_path, data):
             code = e.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------------
+# Golden table: for each case, the exit code, the exact text-mode stdout and
+# the exact --json stdout (timing_ms aside, key order included)
+
+_GEN5 = {
+    "agents": ["a", "b"],
+    "states": ["s0", "s1", "s2"],
+    "indist": {"a": [["s0", "s2"], ["s1"]], "b": [["s0", "s1", "s2"]]},
+    "actions": ["d0", "d1"],
+    "outcomes": ["o0", "o1"],
+    "plays": [
+        {"state": s, "profile": {"a": a, "b": b}, "outcome": o}
+        for s, a, b, o in [
+            ("s0", "d0", "d0", "o0"), ("s0", "d0", "d1", "o0"), ("s0", "d1", "d0", "o0"),
+            ("s0", "d1", "d0", "o1"), ("s0", "d1", "d1", "o1"), ("s1", "d0", "d0", "o1"),
+            ("s1", "d0", "d1", "o0"), ("s1", "d0", "d1", "o1"), ("s1", "d1", "d0", "o0"),
+            ("s1", "d1", "d1", "o0"), ("s2", "d0", "d0", "o1"), ("s2", "d0", "d1", "o0"),
+            ("s2", "d0", "d1", "o1"), ("s2", "d1", "d0", "o1"), ("s2", "d1", "d0", "o0"),
+            ("s2", "d1", "d1", "o0"),
+        ]
+    ],
+    "valuation": {"p0": [0, 3, 4, 5, 6, 9, 11, 13, 14, 15], "p1": [1, 2, 7, 8, 9, 11, 12, 13, 14]},
+}
+_COUNTERMODEL = {
+    "agents": ["a"],
+    "states": ["s0"],
+    "indist": {"a": [["s0"]]},
+    "actions": ["d0", "d1"],
+    "outcomes": ["o0"],
+    "plays": [
+        {"state": "s0", "profile": {"a": "d0"}, "outcome": "o0"},
+        {"state": "s0", "profile": {"a": "d1"}, "outcome": "o0"},
+    ],
+    "valuation": {"p": [0]},
+}
+_ONE_PLAY = {
+    "agents": ["a"],
+    "states": ["s"],
+    "indist": {"a": [["s"]]},
+    "actions": ["x"],
+    "outcomes": ["o"],
+    "plays": [{"state": "s", "profile": {"a": "x"}, "outcome": "o"}],
+    "valuation": {},
+}
+_TWO_AGENTS = {
+    "agents": ["a", "b"],
+    "states": ["s"],
+    "indist": {},
+    "actions": ["x", "y"],
+    "outcomes": ["o"],
+    "plays": [
+        {"state": "s", "profile": {"a": a, "b": b}, "outcome": "o"}
+        for a, b in [("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")]
+    ],
+    "valuation": {"p": [0, 2]},
+}
+_TMP_FILES = {
+    "two.game": json.dumps(_TWO_AGENTS),
+    "bad.proof": "premises: p\ngoal: K{a}p\n1. p ; premise\n2. K{a}p ; nec 1 {a}\n",
+    "mp.proof": "premises: p ; p -> q\ngoal: q\n1. p ; premise\n2. p -> q ; premise\n3. q ; mp 1 2\n",
+}
+_DEDUCED = (
+    "premises: p -> q\ngoal: p -> q\n1. p -> p ; taut\n2. p -> q ; premise\n"
+    "3. (p -> q) -> p -> p -> q ; taut\n4. p -> p -> q ; mp 2 3\n"
+    "5. (p -> p) -> (p -> p -> q) -> p -> q ; taut\n6. (p -> p -> q) -> p -> q ; mp 1 5\n"
+    "7. p -> q ; mp 4 6\n"
+)
+_SWEEP_COUNTS = {
+    "Truth-K": 96, "Truth-B": 96, "Distributivity": 96, "NegativeIntrospection": 96,
+    "Monotonicity-K": 128, "Monotonicity-B": 128, "NoneToBlame": 96,
+    "BlamelessnessOfTruth": 96, "JointResponsibility": 96, "BlameForKnownCause": 96,
+    "KnowledgeOfFairness": 96, "Necessitation": 64,
+}
+_NECESSITATION_FAILURE = "necessitation applied to a premise-dependent line"
+_TRUCK_3 = ["--play", "3", "--formula", "B{c}col"]
+
+# name -> (argv, exit code, text stdout, --json document without timing_ms);
+# "{tmp}" in argv is the directory holding _TMP_FILES
+GOLDEN = {
+    "eval-true": (
+        ["eval", "--game", "truck_selfdriving.game", *_TRUCK_3], 0, "true\n",
+        {"command": "eval", "verdict": "true"},
+    ),
+    "eval-false": (
+        ["eval", "--game", "truck_manual.game", *_TRUCK_3], 1, "false\n",
+        {"command": "eval", "verdict": "false"},
+    ),
+    "extension": (
+        ["extension", "--game", "truck_manual.game", "--formula", "col"], 0, "ok\n0 3\n",
+        {"command": "extension", "verdict": "ok", "data": {"extension": [0, 3]}},
+    ),
+    "extension-empty": (
+        ["extension", "--game", "truck_manual.game", "--formula", "col & ~col"], 0, "ok\n\n",
+        {"command": "extension", "verdict": "ok", "data": {"extension": []}},
+    ),
+    "validity-valid": (
+        ["validity", "--game", "truck_manual.game", "--formula", "K{c}col -> col"], 0, "valid\n",
+        {"command": "validity", "verdict": "valid"},
+    ),
+    "validity-invalid": (
+        ["validity", "--game", "truck_manual.game", "--formula", "col"], 1, "invalid\n",
+        {"command": "validity", "verdict": "invalid"},
+    ),
+    "witness-found": (
+        ["witness", "--game", "truck_selfdriving.game", *_TRUCK_3], 0,
+        "witness\nwitness: {c: speed-up}\n",
+        {"command": "witness", "verdict": "witness", "witness": {"c": "speed-up"}},
+    ),
+    "witness-two-agents": (
+        ["witness", "--game", "{tmp}/two.game", "--play", "0", "--formula", "B{b,a}p"], 0,
+        "witness\nwitness: {a: x, b: y}\n",
+        {"command": "witness", "verdict": "witness", "witness": {"a": "x", "b": "y"}},
+    ),
+    "witness-none": (
+        ["witness", "--game", "truck_manual.game", *_TRUCK_3], 1, "none\n",
+        {"command": "witness", "verdict": "none"},
+    ),
+    "entail-entailed": (
+        ["entail", "--game", "truck_manual.game", "--formula", "B{c}col -> col"], 0, "entailed\n",
+        {"command": "entail", "verdict": "entailed"},
+    ),
+    "entail-not-entailed": (
+        ["entail", "--game", "truck_manual.game", "--premises", "col", "--formula", "K{}col"], 1,
+        "not-entailed\n",
+        {"command": "entail", "verdict": "not-entailed"},
+    ),
+    "prove-valid": (
+        ["prove", "--script", "lemma8.proof"], 0, "valid\n",
+        {"command": "prove", "verdict": "valid"},
+    ),
+    "prove-invalid": (
+        ["prove", "--script", "{tmp}/bad.proof"], 1, f"invalid\nline 2: {_NECESSITATION_FAILURE}\n",
+        {"command": "prove", "verdict": "invalid",
+         "data": {"line": 2, "reason": _NECESSITATION_FAILURE}},
+    ),
+    "deduce": (
+        ["deduce", "--script", "{tmp}/mp.proof", "--phi", "p"], 0, _DEDUCED,
+        {"command": "deduce", "verdict": "ok", "data": {"script": _DEDUCED}},
+    ),
+    "gen": (
+        ["gen", "--seed", "5"], 0, json.dumps(_GEN5, indent=2) + "\n",
+        {"command": "gen", "verdict": "ok", "data": {"game": _GEN5}},
+    ),
+    "sweep": (
+        ["sweep", "--trials", "2", "--seed", "1"], 0,
+        "0 violations / 2 trials\nchecked: "
+        + ", ".join(f"{name}={n}" for name, n in sorted(_SWEEP_COUNTS.items())) + "\n",
+        {"command": "sweep", "verdict": "0 violations / 2 trials", "violations": [],
+         "data": {"counts": _SWEEP_COUNTS}},
+    ),
+    "search-found": (
+        ["search", "--formula", "B{a}p -> K{a}p"], 1,
+        "countermodel\n" + json.dumps(_COUNTERMODEL, indent=2) + "\nplay: 0\n",
+        {"command": "search", "verdict": "countermodel",
+         "witness": {"game": _COUNTERMODEL, "play": 0}},
+    ),
+    "search-none": (
+        ["search", "--formula", "K{a}p -> p", "--budget", "50"], 0, "none\n",
+        {"command": "search", "verdict": "none"},
+    ),
+}
+
+# name -> (argv, the stderr line); stdout stays empty in both modes
+GOLDEN_ERRORS = {
+    "gen-negative-seed": (["gen", "--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+    "search-negative-seed": (
+        ["search", "--formula", "p", "--seed", "-1"], "seed must be an unsigned 64-bit integer"
+    ),
+    "search-zero-budget": (
+        ["search", "--formula", "p", "--budget", "0"], "max_candidates must be at least 1"
+    ),
+    "sweep-negative-trials": (["sweep", "--trials", "-3"], "trials must be nonnegative"),
+    "play-out-of-range": (
+        ["eval", "--game", "truck_manual.game", "--play", "99", "--formula", "col"],
+        "play index out of range: 99 (game has 4 plays)",
+    ),
+    "witness-needs-blame": (
+        ["witness", "--game", "truck_manual.game", "--play", "3", "--formula", "K{c}col"],
+        "witness needs a formula of the form B{...}...",
+    ),
+    "missing-game": (
+        ["eval", "--game", "no-such.game", "--play", "0", "--formula", "col"],
+        "no such file or bundled asset: no-such.game",
+    ),
+    "bad-formula": (
+        ["eval", "--game", "truck_manual.game", "--play", "0", "--formula", "p ->"],
+        "unexpected 'end of input' at byte 4, expected one of "
+        "['IDENT', 'LPAREN', 'NOT', 'POSSK']",
+    ),
+}
+
+
+def _golden_run(capsys, tmp_path, argv):
+    for name, text in _TMP_FILES.items():
+        (tmp_path / name).write_text(text)
+    code = cli.run([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _without_timing(out):
+    doc = json.loads(out)
+    timing = doc.pop("timing_ms")
+    assert isinstance(timing, float)
+    assert out == json.dumps({**doc, "timing_ms": timing}, indent=2) + "\n"
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(capsys, tmp_path, name):
+    argv, code, text, doc = GOLDEN[name]
+    assert _golden_run(capsys, tmp_path, argv) == (code, text, "")
+    got_code, out, err = _golden_run(capsys, tmp_path, [*argv, "--json"])
+    assert (got_code, err) == (code, "")
+    got = _without_timing(out)
+    assert json.dumps(got) == json.dumps(doc)  # key order too
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ERRORS))
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_golden_error(capsys, tmp_path, name, mode):
+    argv, message = GOLDEN_ERRORS[name]
+    assert _golden_run(capsys, tmp_path, [*argv, *mode]) == (2, "", f"error: {message}\n")
+
+
+def test_golden_sweep_lists_at_most_ten_violations(capsys, tmp_path, monkeypatch):
+    game = load_game(json.dumps(_ONE_PLAY))
+    formula = parse_formula("K{a}p -> p")
+    violations = tuple(SweepViolation("Truth-K", t, game, 0, formula) for t in range(12))
+
+    def twelve_violations(params, trials):
+        return SweepReport(trials, {"Truth-K": 12}, violations)
+
+    monkeypatch.setattr(cli, "soundness_sweep", twelve_violations)
+    argv = ["sweep", "--trials", "12"]
+    lines = [f"violation: Truth-K at trial {t} play 0: K{{a}}p -> p" for t in range(10)]
+    text = "\n".join(["12 violations / 12 trials", *lines, "checked: Truth-K=12"]) + "\n"
+    assert _golden_run(capsys, tmp_path, argv) == (1, text, "")
+    code, out, err = _golden_run(capsys, tmp_path, [*argv, "--json"])
+    assert (code, err) == (1, "")
+    doc = {
+        "command": "sweep",
+        "verdict": "12 violations / 12 trials",
+        "violations": [
+            {"schema": "Truth-K", "trial": t, "play": 0, "formula": "K{a}p -> p",
+             "game": _ONE_PLAY}
+            for t in range(12)
+        ],
+        "data": {"counts": {"Truth-K": 12}},
+    }
+    assert json.dumps(_without_timing(out)) == json.dumps(doc)
