@@ -13,7 +13,7 @@ games until the candidate budget runs out.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 from . import semantics
@@ -63,8 +63,12 @@ class GenParams:
                 raise ValueError(f"{name} must be an integer in {lo}..{hi}")
         if not 0.0 <= self.branching <= 1.0:
             raise ValueError("branching must be a probability in [0, 1]")
-        if not (isinstance(self.seed, int) and 0 <= self.seed <= _SEED_MASK):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed):
+    if not (isinstance(seed, int) and 0 <= seed <= _SEED_MASK):
+        raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -271,12 +275,20 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of find_countermodel: max_candidates counts every game it
+    checks (the exhaustive tiny games, then random games of at most two
+    states, actions and outcomes), and seed fixes the random games."""
+
     max_candidates: int = 5000
-    ceiling: GenParams = field(default_factory=lambda: GenParams(num_states=2))
+    seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
+
+
+_RANDOM_SHAPE = (2, 2, 2, 0.15)  # most states, actions, outcomes; branching
 
 
 _TINY_SHAPES = (
@@ -348,17 +360,17 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
 
     def candidates():
         yield from _tiny_games(agents, variables)
-        ceiling = budget.ceiling
+        num_states, num_actions, num_outcomes, branching = _RANDOM_SHAPE
         for k in range(budget.max_candidates):
-            rng = random.Random(derive_seed(ceiling.seed, 7, k))
+            rng = random.Random(derive_seed(budget.seed, 7, k))
             yield _random_game(
                 rng,
                 agents,
-                tuple(f"s{i}" for i in range(1 + rng.randrange(ceiling.num_states))),
-                tuple(f"d{i}" for i in range(1 + rng.randrange(ceiling.num_actions))),
-                tuple(f"o{i}" for i in range(1 + rng.randrange(ceiling.num_outcomes))),
+                tuple(f"s{i}" for i in range(1 + rng.randrange(num_states))),
+                tuple(f"d{i}" for i in range(1 + rng.randrange(num_actions))),
+                tuple(f"o{i}" for i in range(1 + rng.randrange(num_outcomes))),
                 variables,
-                ceiling.branching,
+                branching,
             )
 
     seen = 0

@@ -103,7 +103,7 @@ SCHEMAS = {
 
 AXIOM_NAMES = tuple(SCHEMAS)
 
-DEFAULT_ATOM_BUDGET = 20
+MAX_ATOMS = 20  # most modal atoms a taut line may have; its truth table has 2^n rows
 
 
 def build_axiom(name, phi=None, psi=None, c=frozenset(), d=frozenset()) -> Formula:
@@ -175,13 +175,13 @@ def match_axiom(f: Formula):
     return None
 
 
-def is_tautology_instance(f: Formula, max_atoms: int = DEFAULT_ATOM_BUDGET) -> bool:
-    """True iff f is true under every assignment to its modal atoms."""
+def is_tautology_instance(f: Formula) -> bool:
+    """True iff f holds under every assignment to its modal atoms (at most MAX_ATOMS)."""
     atoms = atom_list(f)
     n = len(atoms)
-    if n > max_atoms:
+    if n > MAX_ATOMS:
         raise AtomBudgetExceededError(
-            f"{n} modal atoms exceeds the budget of {max_atoms}"
+            f"{n} modal atoms exceeds the budget of {MAX_ATOMS}"
         )
     rows = 1 << n
     full = (1 << rows) - 1
@@ -269,7 +269,7 @@ class CheckReport:
     depends_on_premise: tuple = ()
 
 
-def check_proof(script: ProofScript, max_atoms: int = DEFAULT_ATOM_BUDGET) -> CheckReport:
+def check_proof(script: ProofScript) -> CheckReport:
     """Validate every line; reports the first invalid line and why.
 
     A line depends on a premise iff it is a premise or any line it
@@ -288,7 +288,7 @@ def check_proof(script: ProofScript, max_atoms: int = DEFAULT_ATOM_BUDGET) -> Ch
             return invalid(k, f"line numbering must be consecutive (got {line.index})")
         match line.justification:
             case Taut():
-                if not is_tautology_instance(line.formula, max_atoms):
+                if not is_tautology_instance(line.formula):
                     return invalid(k, "not a tautology instance")
                 dep = False
             case Axiom(name):

@@ -8,6 +8,7 @@ from blamelogic import asset_path
 from blamelogic.errors import AtomBudgetExceededError, ParseError
 from blamelogic.hilbert import (
     AXIOM_NAMES,
+    MAX_ATOMS,
     Axiom,
     MP,
     Nec,
@@ -190,10 +191,18 @@ def test_tautology_examples():
     assert not is_tautology_instance(parse_formula("K{a}p -> p"))
 
 
+def _implication_chain(n):
+    """p0 -> p1 -> ... -> p(n-1) -> p0: a tautology over n distinct atoms."""
+    return " -> ".join(f"p{i}" for i in range(n)) + " -> p0"
+
+
 def test_atom_budget():
-    f = parse_formula("p -> q")
+    assert is_tautology_instance(parse_formula(_implication_chain(MAX_ATOMS)))
+    with pytest.raises(AtomBudgetExceededError, match="21 modal atoms exceeds the budget of 20"):
+        is_tautology_instance(parse_formula(_implication_chain(MAX_ATOMS + 1)))
+    text = _implication_chain(MAX_ATOMS + 1)
     with pytest.raises(AtomBudgetExceededError):
-        is_tautology_instance(f, max_atoms=1)
+        check_proof(parse_proof(f"goal: {text}\n1. {text} ; taut\n"))
 
 
 def _naive_tautology(f):
