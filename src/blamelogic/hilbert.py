@@ -118,7 +118,12 @@ def build_axiom(name, phi=None, psi=None, c=frozenset(), d=frozenset()) -> Formu
 
 
 class _Meta:
-    """A metavariable of a schema template, or the union C | D of two."""
+    """A metavariable of a schema template, or the union C | D of two.
+
+    A placeholder counts as one node in the size and depth of a template.
+    """
+
+    size = depth = 1
 
     def __init__(self, *names):
         self.names = names
@@ -135,12 +140,13 @@ _TEMPLATES = {
 
 
 def _unify(template, f, env) -> bool:
-    """Match f against template, binding metavariables in env."""
+    """Match f against template, binding metavariables in env.
+
+    Equal formulas are one node, so phi and psi match by identity;
+    coalitions are frozensets and match by value.
+    """
     if isinstance(template, _Meta):
-        if len(template.names) > 1:  # a union; its parts are bound earlier
-            return f == frozenset().union(*(env[n] for n in template.names))
-        bound = env.setdefault(template.names[0], f)
-        return bound is f or bound == f
+        return env.setdefault(template.names[0], f) is f
     if type(template) is not type(f):
         return False
     match template:
@@ -149,8 +155,17 @@ def _unify(template, f, env) -> bool:
         case Implies(lhs, rhs):
             return _unify(lhs, f.lhs, env) and _unify(rhs, f.rhs, env)
         case Knows(c, inner) | Blames(c, inner):
-            return _unify(c, f.coalition, env) and _unify(inner, f.inner, env)
-    return template == f  # a constant: a coalition literal or a variable
+            return _same_coalition(c, f.coalition, env) and _unify(inner, f.inner, env)
+    return template is f  # a variable
+
+
+def _same_coalition(c, coalition, env) -> bool:
+    """Match a coalition against a template's literal, C, D or C | D."""
+    if not isinstance(c, _Meta):
+        return c == coalition
+    if len(c.names) > 1:  # a union; its parts are bound earlier
+        return coalition == frozenset().union(*(env[n] for n in c.names))
+    return env.setdefault(c.names[0], coalition) == coalition
 
 
 def match_schema(name: str, f: Formula):
@@ -194,25 +209,22 @@ def is_tautology_instance(f: Formula) -> bool:
             masks[j] |= masks[j] << width
         masks[i] = ((1 << width) - 1) << width
         width <<= 1
-    return _table(f, dict(zip(atoms, masks)), full, {}) == full
+    return _table(f, full, dict(zip(atoms, masks))) == full
 
 
-def _table(node: Formula, env: dict, full: int, memo: dict) -> int:
-    """Truth-table bitmask of node; memo maps id(node) -> mask within one call."""
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if node in env:
-        value = env[node]
-    else:
+def _table(node: Formula, full: int, memo: dict) -> int:
+    """Truth-table bitmask of node; memo maps each atom and each node seen
+    so far within one call to its mask, so an equal subtree is computed once."""
+    value = memo.get(node)
+    if value is None:
         match node:
             case Neg(inner):
-                value = full & ~_table(inner, env, full, memo)
+                value = full & ~_table(inner, full, memo)
             case Implies(lhs, rhs):
-                value = full & (~_table(lhs, env, full, memo) | _table(rhs, env, full, memo))
+                value = full & (~_table(lhs, full, memo) | _table(rhs, full, memo))
             case _:
                 raise TypeError(f"not a formula node: {node!r}")
-    memo[key] = value
+        memo[node] = value
     return value
 
 

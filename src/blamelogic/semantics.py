@@ -26,8 +26,9 @@ walk stops as soon as the remaining mask is empty, so it visits at most
 strategies.  A choice matching no play of the class prevents vacuously.
 
 Per call the work is O(|formula| * |plays| / word size) plus the blame
-walks; a per-call memo keyed by node identity evaluates shared subtrees
-once.  The masks of variables, states, (agent, action) pairs and coalition
+walks, where |formula| counts distinct subformulas: formulas are interned
+(equal subtrees are one node), and a per-call memo keyed by node evaluates
+each once.  The masks of variables, states, (agent, action) pairs and coalition
 classes are cached on the Game, which is immutable; the cache holds no
 reference back to it.  Every public function is a view of one mask.
 """
@@ -126,8 +127,8 @@ def extension_mask(game: Game, formula: Formula) -> int:
 
 
 def _ext(f: Formula, game: Game, masks: _Masks, memo: dict) -> int:
-    """extension_mask of f; memo maps id(node) -> mask within one call."""
-    mask = memo.get(id(f))
+    """extension_mask of f; memo maps each node seen within one call to its mask."""
+    mask = memo.get(f)
     if mask is not None:
         return mask
     full = masks.full
@@ -154,7 +155,7 @@ def _ext(f: Formula, game: Game, masks: _Masks, memo: dict) -> int:
                     mask |= rest
         case _:
             raise TypeError(f"not a formula node: {f!r}")
-    memo[id(f)] = mask
+    memo[f] = mask
     return mask
 
 

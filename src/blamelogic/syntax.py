@@ -14,21 +14,31 @@ surface sugar that the parser expands with the usual classical definitions:
 Precedence, tightest first: modalities and `~`, then `&`, then `|`, then
 `->` (right-associative), then `<->` (left-associative).
 
+Nodes are hash-consed: a constructor returns the live node with its class
+and fields if there is one (a weak unique table finds it), so equal formulas
+are one object, `==` is `is`, and `hash` takes constant time.  Each node
+stores its size (nodes, counted as a tree) and depth when it is built.  The
+helpers that walk a formula visit each distinct node once, so their time is
+linear in the shared graph however often `<->` reuses its operands.
+
 One compiled regular expression splits the text into tokens, and a
 recursive descent reads the token kinds and texts by index.  The parser
 rejects any formula whose AST, after sugar expansion, is more than
-MAX_DEPTH levels deep, so that hashing, comparing, printing and evaluating
-a parsed formula (all recursive) stay far below the interpreter's
-recursion limit.  It also rejects an AST of more than MAX_NODES nodes
-counted as a tree: `<->` shares its operands, so its expansion doubles
-with each nesting, and text like `p <-> p <-> ... <-> p` would otherwise
-parse quickly into a formula that takes seconds to print or check.
+MAX_DEPTH levels deep, so that printing and evaluating a parsed formula
+(both recursive) stay far below the interpreter's recursion limit.  It
+also rejects an AST of more than MAX_NODES nodes counted as a tree: `<->`
+uses each operand twice, so printed text doubles with each nesting, and
+text like `p <-> p <-> ... <-> p` would otherwise parse quickly into a
+formula that takes seconds to print.  Both checks read the root's stored
+size and depth.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError
 
 from .errors import ParseError
 
@@ -40,32 +50,164 @@ MAX_DEPTH = 200  # deepest AST that parse_formula returns
 MAX_NODES = 10**5  # most AST nodes, counted as a tree, that parse_formula returns
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# The unique table: (class, *fields) -> a weak reference to the one live
+# node with those fields.  Children are fields, and they compare by
+# identity, so one dict lookup per constructor call finds an equal node.
+# The references have no callbacks (a callback per node costs microseconds);
+# dead entries stay until the table has doubled since the last sweep.
+_NODES = {}
+_LOCK = threading.Lock()  # taken only to replace a dead entry, and to sweep
+_SWEEP_MIN = 1 << 12
+_sweep_at = _SWEEP_MIN
 
 
-@dataclass(frozen=True)
-class Neg:
-    inner: "Formula"
+def _intern(key, node, size, depth):
+    """Finish node, whose fields are set, and insert it under key; return
+    it, or an equal node that another thread inserted first."""
+    _set_size(node, size)
+    _set_depth(node, depth)
+    ref = weakref.ref(node)
+    found = _NODES.setdefault(key, ref)
+    if found is not ref:
+        live = found()
+        if live is not None:
+            return live
+        with _LOCK:  # found is dead; replace it unless another thread has
+            found = _NODES.get(key)
+            live = None if found is None else found()
+            if live is not None:
+                return live
+            _NODES[key] = ref
+    elif len(_NODES) > _sweep_at:
+        _sweep()
+    return node
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Formula"
-    rhs: "Formula"
+def _sweep():
+    """Drop the dead entries in one pass, latest first.
+
+    A parent is inserted after its children, and a dead parent's key still
+    holds them; popping each key off the list frees it, so its children can
+    die before the pass reaches their entries.
+    """
+    global _sweep_at
+    with _LOCK:
+        keys = list(_NODES)
+        while keys:
+            key = keys.pop()
+            if _NODES[key]() is None:
+                del _NODES[key]
+        _sweep_at = max(_SWEEP_MIN, 2 * len(_NODES))
 
 
-@dataclass(frozen=True)
-class Knows:
-    coalition: Coalition
-    inner: "Formula"
+class _Node:
+    """An interned, immutable formula node.
+
+    Equal nodes are one object, so `==` and `hash` are the identity defaults.
+    `size` (nodes, counted as a tree) and `depth` (levels; a Var is one) are
+    set when the node is built.
+    """
+
+    __slots__ = ("size", "depth", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
-@dataclass(frozen=True)
-class Blames:
-    coalition: Coalition
-    inner: "Formula"
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name):
+        key = (cls, name)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _new_node(cls)
+            _set_name(node, name)
+            node = _intern(key, node, 1, 1)
+        return node
+
+
+class Neg(_Node):
+    __slots__ = __match_args__ = ("inner",)
+
+    def __new__(cls, inner):
+        key = (cls, inner)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _new_node(cls)
+            _set_inner(node, inner)
+            node = _intern(key, node, inner.size + 1, inner.depth + 1)
+        return node
+
+
+class Implies(_Node):
+    __slots__ = __match_args__ = ("lhs", "rhs")
+
+    def __new__(cls, lhs, rhs):
+        key = (cls, lhs, rhs)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _new_node(cls)
+            _set_lhs(node, lhs)
+            _set_rhs(node, rhs)
+            size, depth = lhs.size + rhs.size + 1, max(lhs.depth, rhs.depth) + 1
+            node = _intern(key, node, size, depth)
+        return node
+
+
+class _Modal(_Node):
+    """K{C}inner or B{C}inner; the coalition is a frozenset of agent names."""
+
+    __slots__ = __match_args__ = ("coalition", "inner")
+
+    def __new__(cls, coalition, inner):
+        key = (cls, coalition, inner)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _new_node(cls)
+            _set_coalition(node, coalition)
+            _set_modal_inner(node, inner)
+            node = _intern(key, node, inner.size + 1, inner.depth + 1)
+        return node
+
+
+class Knows(_Modal):
+    __slots__ = ()
+
+
+class Blames(_Modal):
+    __slots__ = ()
+
+
+_new_node = object.__new__
+_set_size = _Node.size.__set__
+_set_depth = _Node.depth.__set__
+_set_name = Var.name.__set__
+_set_inner = Neg.inner.__set__
+_set_lhs = Implies.lhs.__set__
+_set_rhs = Implies.rhs.__set__
+_set_coalition = _Modal.coalition.__set__
+_set_modal_inner = _Modal.inner.__set__
 
 
 Formula = Var | Neg | Implies | Knows | Blames
@@ -98,14 +240,20 @@ def poss_knows(c: Coalition, a: Formula) -> Formula:
 
 
 def subformulas(f: Formula):
-    """Yield every node of the tree, parents before children."""
-    yield f
-    match f:
-        case Neg(inner) | Knows(_, inner) | Blames(_, inner):
-            yield from subformulas(inner)
-        case Implies(lhs, rhs):
-            yield from subformulas(lhs)
-            yield from subformulas(rhs)
+    """Yield each distinct subformula of f once, parents before children."""
+    seen = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        yield node
+        match node:
+            case Neg(inner) | Knows(_, inner) | Blames(_, inner):
+                stack.append(inner)
+            case Implies(lhs, rhs):
+                stack += (rhs, lhs)
 
 
 def formula_agents(f: Formula) -> frozenset:
@@ -130,11 +278,13 @@ def atom_list(f: Formula) -> list:
 
 
 def _collect_atoms(node: Formula, seen: set, out: list):
+    """Append the atoms below node not yet in seen, visiting each node once."""
+    if node in seen:
+        return
+    seen.add(node)
     match node:
         case Var() | Knows() | Blames():
-            if node not in seen:
-                seen.add(node)
-                out.append(node)
+            out.append(node)
         case Neg(inner):
             _collect_atoms(inner, seen, out)
         case Implies(lhs, rhs):
@@ -195,32 +345,6 @@ def _byte_offset(text: str, k: int) -> int:
     """Byte offset of token k of text; offsets are only needed for errors."""
     starts = [m.start(1) for m in _SCANNER.finditer(text, 0, len(text.rstrip()))]
     return len(text[: starts[k] if k < len(starts) else len(text)].encode("utf-8"))
-
-
-def _check_size(f: Formula):
-    """Raise ParseError if f's expanded tree is too deep or too large."""
-    # level by level, a lone Var being one level; a subtree that `<->`
-    # shares is visited once per level, with the number of its occurrences
-    level = {id(f): [f, 1]}
-    nodes = 0
-    for _ in range(MAX_DEPTH):
-        below = {}
-        for node, count in level.values():
-            nodes += count
-            if type(node) is Var:
-                continue
-            for child in (node.lhs, node.rhs) if type(node) is Implies else (node.inner,):
-                entry = below.get(id(child))
-                if entry is None:
-                    below[id(child)] = [child, count]
-                else:
-                    entry[1] += count
-        if nodes > MAX_NODES:
-            raise ParseError("formula too large")
-        if not below:
-            return
-        level = below
-    raise ParseError("formula nested too deeply")
 
 
 class _Parser:
@@ -330,7 +454,10 @@ def parse_formula(text: str) -> Formula:
         raise ParseError("formula nested too deeply") from None
     if p.kinds[p.pos] != "EOF":
         p.fail({"EOF"})
-    _check_size(f)
+    if f.size > MAX_NODES:
+        raise ParseError("formula too large")
+    if f.depth > MAX_DEPTH:
+        raise ParseError("formula nested too deeply")
     return f
 
 
@@ -341,8 +468,8 @@ def format_coalition(c: Coalition) -> str:
 def print_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; never re-sugars.
 
-    parse_formula(print_formula(f)) is structurally equal to f for every
-    formula whose variable names avoid the reserved words true/false.
+    parse_formula(print_formula(f)) is f for every formula whose variable
+    names avoid the reserved words true/false.
     """
     return _render(f, False)
 

@@ -276,7 +276,7 @@ def test_formulas_at_the_depth_limit_work_downstream(kind, truck_manual):
     f = parse_formula(_chain(kind, MAX_DEPTH))
     g = parse_formula(_chain(kind, MAX_DEPTH))
     assert _depth(f) == MAX_DEPTH
-    assert f is not g and hash(f) == hash(g) and f == g
+    assert f is g and hash(f) == hash(g) and f == g
     assert parse_formula(print_formula(f)) == f
     expected = {
         i
