@@ -187,6 +187,14 @@ def test_stored_size_and_depth_are_the_tree_measures(f):
     assert (f.size, f.depth) == measure(_encode(f))
 
 
+def _rename(t, prefix):
+    """The encoding with prefix put before every variable name."""
+    if t[0] == "Var":
+        return ("Var", prefix + t[1])
+    kids = _children(t)
+    return t[: len(t) - len(kids)] + tuple(_rename(c, prefix) for c in kids)
+
+
 def test_threads_building_the_same_new_formulas_share_nodes():
     workers = 4
     params = [GenParams(formula_depth=4, num_variables=3, seed=s) for s in range(30)]
@@ -215,14 +223,6 @@ def test_threads_building_the_same_new_formulas_share_nodes():
                 assert all(f is g for f, g in zip(built[0], other))
     finally:
         sys.setswitchinterval(interval)
-
-
-def _rename(t, prefix):
-    """The encoding with prefix put before every variable name."""
-    if t[0] == "Var":
-        return ("Var", prefix + t[1])
-    kids = _children(t)
-    return t[: len(t) - len(kids)] + tuple(_rename(c, prefix) for c in kids)
 
 
 def test_dropped_formulas_leave_the_table():
