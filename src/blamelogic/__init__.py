@@ -5,7 +5,7 @@ checks Hilbert-style proofs in the matching axiom system, and stress-tests
 soundness against generated games.
 """
 
-from .bundle import asset_names, asset_path
+from .bundle import asset_path
 from .errors import (
     AtomBudgetExceededError,
     BlamelogicError,
@@ -76,7 +76,6 @@ from .syntax import (
     Neg,
     TOP,
     Var,
-    coalition,
     conj,
     disj,
     formula_agents,

@@ -7,10 +7,3 @@ def asset_path(name: str):
     """Traversable path of a bundled asset, e.g. 'truck_manual.game'."""
     return resources.files("blamelogic") / "assets" / name
 
-
-def asset_names():
-    return sorted(
-        entry.name
-        for entry in (resources.files("blamelogic") / "assets").iterdir()
-        if entry.name.endswith((".game", ".proof"))
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 
 from . import semantics
 from .game import Game, Play
@@ -373,11 +373,7 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
                 branching,
             )
 
-    seen = 0
-    for game in candidates():
-        seen += 1
-        if seen > budget.max_candidates:
-            break
+    for game in islice(candidates(), budget.max_candidates):
         falsified = _falsified(game, formula)
         if falsified:
             return game, falsified[0]

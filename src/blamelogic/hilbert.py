@@ -9,7 +9,9 @@ exactly modus ponens over premises and theorems.
 
 Tautology checking reads a formula as a Boolean combination of its modal
 atoms (maximal Var/Knows/Blames subformulas) and decides truth under all
-assignments with bitmask truth tables.
+assignments with bitmask truth tables: bit r of an atom's mask is its value
+in row r, and the semantics engine's `_ext` evaluates the connectives over
+those masks as it does over play masks.
 
 SCHEMAS is the single source of the eleven axiom schemas: a builder over
 the metavariables (phi, psi, C, D) and a side condition on (C, D) for each.
@@ -29,6 +31,7 @@ from .errors import (
     ParseError,
     PhiNotPremiseError,
 )
+from .semantics import _ext
 from .syntax import (
     Blames,
     Formula,
@@ -40,6 +43,7 @@ from .syntax import (
     conj,
     disj,
     format_coalition,
+    parse_coalition,
     parse_formula,
     poss_knows,
     print_formula,
@@ -209,23 +213,8 @@ def is_tautology_instance(f: Formula) -> bool:
             masks[j] |= masks[j] << width
         masks[i] = ((1 << width) - 1) << width
         width <<= 1
-    return _table(f, full, dict(zip(atoms, masks))) == full
-
-
-def _table(node: Formula, full: int, memo: dict) -> int:
-    """Truth-table bitmask of node; memo maps each atom and each node seen
-    so far within one call to its mask, so an equal subtree is computed once."""
-    value = memo.get(node)
-    if value is None:
-        match node:
-            case Neg(inner):
-                value = full & ~_table(inner, full, memo)
-            case Implies(lhs, rhs):
-                value = full & (~_table(lhs, full, memo) | _table(rhs, full, memo))
-            case _:
-                raise TypeError(f"not a formula node: {node!r}")
-        memo[node] = value
-    return value
+    # the memo holds every atom, so _ext reads no game
+    return _ext(f, full, None, None, dict(zip(atoms, masks))) == full
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +399,6 @@ def deduction_transform(script: ProofScript, phi: Formula) -> ProofScript:
 # Proof file format
 
 _LINE_RE = re.compile(r"^(\d+)\.\s*(.*)$")
-_COAL_RE = re.compile(r"^\{\s*([A-Za-z][A-Za-z0-9_]*(\s*,\s*[A-Za-z][A-Za-z0-9_]*)*)?\s*\}$")
-
-
-def _parse_coalition_literal(text: str) -> frozenset:
-    m = _COAL_RE.match(text.strip())
-    if not m:
-        raise ParseError(f"bad coalition literal: {text!r}")
-    body = m.group(1)
-    if not body:
-        return frozenset()
-    return frozenset(name.strip() for name in body.split(","))
 
 
 def _parse_justification(text: str):
@@ -445,7 +423,7 @@ def _parse_justification(text: str):
             i = int(parts[1])
         except ValueError:
             raise ParseError(f"bad necessitation reference: {text!r}") from None
-        return Nec(i, _parse_coalition_literal(parts[2]))
+        return Nec(i, parse_coalition(parts[2]))
     raise ParseError(f"bad justification: {text!r}")
 
 

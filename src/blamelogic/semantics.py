@@ -123,30 +123,37 @@ def _prevent(rest: int, members, actions, act: dict):
 
 def extension_mask(game: Game, formula: Formula) -> int:
     """The formula's extension as an int whose bit i is set iff it holds at play i."""
-    return _ext(formula, game, _masks_of(game), {})
+    masks = _masks_of(game)
+    return _ext(formula, masks.full, game, masks, {})
 
 
-def _ext(f: Formula, game: Game, masks: _Masks, memo: dict) -> int:
-    """extension_mask of f; memo maps each node seen within one call to its mask."""
+def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
+    """Mask of f over the index space whose set bits are full.
+
+    memo maps each node seen within one call to its mask, so an equal
+    subtree is computed once.  extension_mask passes the game's play masks;
+    a tautology check passes truth-table rows as the index space and every
+    atom's mask in memo, with no game, so only the connectives are read.
+    """
     mask = memo.get(f)
     if mask is not None:
         return mask
-    full = masks.full
     match f:
         case Var(name):
             mask = masks.var.get(name, 0)
         case Neg(inner):
-            mask = full ^ _ext(inner, game, masks, memo)
+            mask = full ^ _ext(inner, full, game, masks, memo)
         case Implies(lhs, rhs):
-            mask = (full ^ _ext(lhs, game, masks, memo)) | _ext(rhs, game, masks, memo)
+            mask = full ^ _ext(lhs, full, game, masks, memo)
+            mask |= _ext(rhs, full, game, masks, memo)
         case Knows(c, inner):
-            false = full ^ _ext(inner, game, masks, memo)
+            false = full ^ _ext(inner, full, game, masks, memo)
             mask = 0
             for block in _classes(game, masks, c):
                 if not block & false:
                     mask |= block
         case Blames(c, inner):
-            true = _ext(inner, game, masks, memo)
+            true = _ext(inner, full, game, masks, memo)
             members = sorted(c)
             mask = 0
             for block in _classes(game, masks, c):

@@ -21,16 +21,20 @@ stores its size (nodes, counted as a tree) and depth when it is built.  The
 helpers that walk a formula visit each distinct node once, so their time is
 linear in the shared graph however often `<->` reuses its operands.
 
-One compiled regular expression splits the text into tokens, and a
-recursive descent reads the token kinds and texts by index.  The parser
-rejects any formula whose AST, after sugar expansion, is more than
-MAX_DEPTH levels deep, so that printing and evaluating a parsed formula
-(both recursive) stay far below the interpreter's recursion limit.  It
-also rejects an AST of more than MAX_NODES nodes counted as a tree: `<->`
-uses each operand twice, so printed text doubles with each nesting, and
-text like `p <-> p <-> ... <-> p` would otherwise parse quickly into a
-formula that takes seconds to print.  Both checks read the root's stored
-size and depth.
+One compiled regular expression splits the text into tokens, and one
+precedence-climbing method reads the token kinds and texts by index: the
+table _BINARY gives each binary operator its precedence, associativity and
+builder, and the prefix operators, atoms and parentheses are read by
+recursive descent.  The parser rejects any formula whose AST, after sugar
+expansion, is more than MAX_DEPTH levels deep, so that printing and
+evaluating a parsed formula (both recursive) stay far below the
+interpreter's recursion limit.  It also rejects an AST of more than
+MAX_NODES nodes counted as a tree: `<->` uses each operand twice, so
+printed text doubles with each nesting, and text like
+`p <-> p <-> ... <-> p` would otherwise parse quickly into a formula that
+takes seconds to print.  Both checks read the root's stored size and depth.
+A counter of open parentheses rejects the MAX_DEPTH-th, so the texts the
+parser accepts do not depend on the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -123,9 +127,6 @@ class _Node:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
-    def __copy__(self):
-        return self
-
     def __deepcopy__(self, memo):
         return self
 
@@ -215,11 +216,6 @@ Formula = Var | Neg | Implies | Knows | Blames
 # Canonical encodings of the propositional constants.
 TOP = Implies(Var("p"), Var("p"))
 BOTTOM = Neg(TOP)
-
-
-def coalition(*names: str) -> Coalition:
-    """Build a coalition from agent names (duplicates collapse)."""
-    return frozenset(names)
 
 
 def disj(a: Formula, b: Formula) -> Formula:
@@ -315,6 +311,16 @@ _SCANNER = re.compile(
     r"\s*(" + "|".join(map(re.escape, _PUNCTUATION)) + "|" + IDENT_RE.pattern + r"|\S)"
 )
 _UNARY_START = frozenset({"IDENT", "LPAREN", "NOT", "POSSK"})
+# Binary operator token kind -> (precedence, floor for its right operand,
+# builder).  A floor one above the precedence makes the operator
+# left-associative; `->` takes its own precedence as the floor, so it is
+# right-associative.
+_BINARY = {
+    "IFF": (1, 2, iff),
+    "ARROW": (2, 2, Implies),
+    "OR": (3, 4, disj),
+    "AND": (4, 5, conj),
+}
 
 
 def _scan(text: str):
@@ -348,12 +354,13 @@ def _byte_offset(text: str, k: int) -> int:
 
 
 class _Parser:
-    """Recursive descent over the token lists of one text."""
+    """Precedence climbing over the token lists of one text."""
 
     def __init__(self, text: str):
         self.text = text
         self.kinds, self.texts = _scan(text)
         self.pos = 0
+        self.parens = 0  # open parentheses around the current position
 
     def fail(self, expected):
         pos = self.pos
@@ -372,35 +379,15 @@ class _Parser:
         self.pos += 1
         return self.texts[self.pos - 1]
 
-    # formula := iff ; iff := imp { "<->" imp }
-    def formula(self) -> Formula:
-        f = self.imp()
-        while self.kinds[self.pos] == "IFF":
-            self.pos += 1
-            f = iff(f, self.imp())
-        return f
-
-    # imp := or [ "->" imp ]   (right-associative)
-    def imp(self) -> Formula:
-        f = self.disjunction()
-        if self.kinds[self.pos] == "ARROW":
-            self.pos += 1
-            return Implies(f, self.imp())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.kinds[self.pos] == "OR":
-            self.pos += 1
-            f = disj(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
+    def binary(self, floor: int = 1) -> Formula:
+        """Read operands joined by binary operators of precedence >= floor."""
         f = self.unary()
-        while self.kinds[self.pos] == "AND":
+        while True:
+            op = _BINARY.get(self.kinds[self.pos])
+            if op is None or op[0] < floor:
+                return f
             self.pos += 1
-            f = conj(f, self.unary())
-        return f
+            f = op[2](f, self.binary(op[1]))
 
     def unary(self) -> Formula:
         kind = self.kinds[self.pos]
@@ -413,8 +400,12 @@ class _Parser:
             c = self.coalition_literal()
             return poss_knows(c, self.unary())
         if kind == "LPAREN":
-            f = self.formula()
+            self.parens += 1
+            if self.parens >= MAX_DEPTH:
+                raise ParseError("formula nested too deeply")
+            f = self.binary()
             self.expect("RPAREN")
+            self.parens -= 1
             return f
         word = self.texts[self.pos - 1]
         if word in ("K", "B") and self.kinds[self.pos] == "LBRACE":
@@ -441,15 +432,15 @@ def parse_formula(text: str) -> Formula:
     Raises ParseError (with byte offset and expected-token set) on
     malformed input, and ParseError("formula nested too deeply") when the
     AST, after sugar expansion, is more than MAX_DEPTH levels deep (a lone
-    variable is one level) or parentheses nest deeper than the recursion
-    limit allows (about 195 from a shallow stack), and ParseError("formula
-    too large") when the AST, counted as a tree with shared subtrees once
-    per occurrence, has more than MAX_NODES nodes.  An empty coalition
+    variable is one level) or MAX_DEPTH parentheses are open at once
+    (MAX_DEPTH - 1 nested pairs parse), and ParseError("formula too
+    large") when the AST, counted as a tree with shared subtrees once per
+    occurrence, has more than MAX_NODES nodes.  An empty coalition
     literal `{}` is legal.
     """
     p = _Parser(text)
     try:
-        f = p.formula()
+        f = p.binary()
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
     if p.kinds[p.pos] != "EOF":
@@ -459,6 +450,16 @@ def parse_formula(text: str) -> Formula:
     if f.depth > MAX_DEPTH:
         raise ParseError("formula nested too deeply")
     return f
+
+
+def parse_coalition(text: str) -> Coalition:
+    """Parse a coalition literal such as `{a, b}`; raises ParseError as
+    parse_formula does."""
+    p = _Parser(text)
+    c = p.coalition_literal()
+    if p.kinds[p.pos] != "EOF":
+        p.fail({"EOF"})
+    return c
 
 
 def format_coalition(c: Coalition) -> str:
@@ -471,22 +472,31 @@ def print_formula(f: Formula) -> str:
     parse_formula(print_formula(f)) is f for every formula whose variable
     names avoid the reserved words true/false.
     """
-    return _render(f, False)
+    return _render(f, False, {})
 
 
-def _render(node: Formula, parenthesize_implies: bool) -> str:
-    match node:
-        case Var(name):
-            if name in RESERVED_WORDS:
-                raise ValueError(f"reserved word used as variable name: {name}")
-            return name
-        case Neg(inner):
-            return "~" + _render(inner, True)
-        case Knows(c, inner):
-            return "K" + format_coalition(c) + _render(inner, True)
-        case Blames(c, inner):
-            return "B" + format_coalition(c) + _render(inner, True)
-        case Implies(lhs, rhs):
-            body = _render(lhs, True) + " -> " + _render(rhs, False)
-            return "(" + body + ")" if parenthesize_implies else body
-    raise TypeError(f"not a formula node: {node!r}")
+def _render(node: Formula, parenthesize_implies: bool, memo: dict) -> str:
+    """Text of node; memo maps each (node, parenthesize_implies) rendered
+    within one call to its text, so an equal subtree is rendered once."""
+    key = (node, parenthesize_implies)
+    text = memo.get(key)
+    if text is None:
+        match node:
+            case Var(name):
+                if name in RESERVED_WORDS:
+                    raise ValueError(f"reserved word used as variable name: {name}")
+                text = name
+            case Neg(inner):
+                text = "~" + _render(inner, True, memo)
+            case Knows(c, inner):
+                text = "K" + format_coalition(c) + _render(inner, True, memo)
+            case Blames(c, inner):
+                text = "B" + format_coalition(c) + _render(inner, True, memo)
+            case Implies(lhs, rhs):
+                text = _render(lhs, True, memo) + " -> " + _render(rhs, False, memo)
+                if parenthesize_implies:
+                    text = "(" + text + ")"
+            case _:
+                raise TypeError(f"not a formula node: {node!r}")
+        memo[key] = text
+    return text

@@ -449,3 +449,21 @@ def test_proof_parser_is_total_over_junk(text):
         parse_proof(text)
     except ParseError:
         pass
+
+
+def _coalition_or_error(read):
+    try:
+        return read()
+    except ParseError:
+        return ParseError
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["{a,b}", "{ a , b }", "{}", "{ }", "{a,,b}", "{1a}", "{a b}", "{a}x", "{a"],
+)
+def test_nec_coalitions_read_as_in_formulas(literal):
+    script = f"goal: K{{a}}p\n1. p ; premise\n2. K{{a}}p ; nec 1 {literal}\n"
+    in_proof = _coalition_or_error(lambda: parse_proof(script).lines[1].justification.coalition)
+    in_formula = _coalition_or_error(lambda: parse_formula(f"K{literal} p").coalition)
+    assert in_proof == in_formula

@@ -265,3 +265,13 @@ def test_a_40_level_iff_chain_is_linear_in_its_graph(truck_manual):
     assert _quick(is_tautology_instance, iff(f, col)) is True
     assert _quick(match_axiom, Implies(Knows(frozenset({"c"}), f), f))[0] == "Truth-K"
     assert _quick(lambda: pickle.loads(pickle.dumps(f))) is f
+
+
+def test_printing_renders_each_distinct_subformula_once():
+    # the text doubles with each level (6 MB here), but each distinct
+    # subformula is rendered once, so the time is linear in the text
+    f, text = p, "p"
+    for _ in range(18):
+        f = iff(f, q)
+        text = f"~(({text} -> q) -> ~(q -> {text}))"
+    assert _quick(print_formula, f) == text

@@ -164,6 +164,20 @@ def test_deep_nesting_is_a_parse_error(text):
         parse_formula(text)
 
 
+def test_parentheses_nest_up_to_the_depth_limit():
+    n = MAX_DEPTH - 1
+    assert parse_formula("(" * n + "p" + ")" * n) is Var("p")
+
+
+def _from_depth(frames, fn):
+    return _from_depth(frames - 1, fn) if frames else fn()
+
+
+def test_parsing_does_not_depend_on_the_callers_stack():
+    text = "(" * 150 + "p -> q" + ")" * 150
+    assert _from_depth(300, lambda: parse_formula(text)) is parse_formula(text)
+
+
 def test_parse_error_offset_points_at_failure():
     with pytest.raises(ParseError) as err:
         parse_formula("p -> @")
