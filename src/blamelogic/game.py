@@ -46,6 +46,9 @@ class Play:
     profile: dict
     outcome: str
 
+    def __hash__(self):  # agrees with ==, which compares the profile by its items
+        return hash((self.state, frozenset(self.profile.items()), self.outcome))
+
 
 @dataclass(frozen=True)
 class Strategy:
@@ -80,6 +83,10 @@ class Game:
         }
         object.__setattr__(self, "indist", MappingProxyType(canonical))
         object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
+
+    def __hash__(self):  # as for Play: the two mappings hash by their items
+        mappings = frozenset(self.indist.items()), frozenset(self.valuation.items())
+        return hash((self.agents, self.states, self.actions, self.outcomes, self.plays, mappings))
 
 
 def identity_partition(states) -> tuple:

@@ -398,11 +398,25 @@ def deduction_transform(script: ProofScript, phi: Formula) -> ProofScript:
 # ---------------------------------------------------------------------------
 # Proof file format
 
-_LINE_RE = re.compile(r"^(\d+)\.\s*(.*)$")
+_LINE_RE = re.compile(r"\s*(\d+)\.\s*(.*)$")
 
 
-def _parse_justification(text: str):
-    text = text.strip()
+def _parse_at(parse, line: str, number: int, start: int, end=None):
+    """parse(line[start:end]).  On a ParseError the part is parsed again
+    with the text before it blanked, so that the error's byte offset counts
+    from the start of the line, and its message names the 1-based line."""
+    try:
+        return parse(line[start:end])
+    except ParseError:
+        try:
+            parse(" " * len(line[:start].encode("utf-8")) + line[start:end])
+        except ParseError as e:
+            raise ParseError(f"line {number}: {e}", e.offset, e.expected) from None
+        raise
+
+
+def _parse_justification(line: str, number: int, start: int):
+    text = line[start:].strip()
     if text == "taut":
         return Taut()
     if text == "premise":
@@ -423,7 +437,8 @@ def _parse_justification(text: str):
             i = int(parts[1])
         except ValueError:
             raise ParseError(f"bad necessitation reference: {text!r}") from None
-        return Nec(i, parse_coalition(parts[2]))
+        # the literal is the rest of the line, so it ends where the line does
+        return Nec(i, _parse_at(parse_coalition, line, number, len(line.rstrip()) - len(parts[2])))
     raise ParseError(f"bad justification: {text!r}")
 
 
@@ -431,35 +446,41 @@ def parse_proof(text: str) -> ProofScript:
     """Parse the line-based proof format.
 
     Layout: an optional `premises:` line, a `goal:` line, then numbered
-    lines `N. <formula> ; <justification>`.  `#` starts a comment.
+    lines `N. <formula> ; <justification>`.  `#` starts a comment.  A bad
+    formula or coalition is reported as `line L: ...`, with L the 1-based
+    line of the text and the byte offset counted from that line's start.
     """
     premises = ()
     goal = None
     lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
+    for number, raw in enumerate(text.splitlines(), 1):
+        code = raw.split("#", 1)[0]
+        stripped = code.strip()
         if not stripped:
             continue
         if stripped.startswith("premises:"):
-            body = stripped[len("premises:") :].strip()
-            if body:
-                premises = tuple(parse_formula(p) for p in body.split(";"))
+            start = code.index(":") + 1
+            if code[start:].strip():
+                parts = []
+                for part in code[start:].split(";"):
+                    parts.append(_parse_at(parse_formula, code, number, start, start + len(part)))
+                    start += len(part) + 1
+                premises = tuple(parts)
             continue
         if stripped.startswith("goal:"):
-            goal = parse_formula(stripped[len("goal:") :])
+            goal = _parse_at(parse_formula, code, number, code.index(":") + 1)
             continue
-        m = _LINE_RE.match(stripped)
+        m = _LINE_RE.match(code)
         if not m:
             raise ParseError(f"bad proof line: {stripped!r}")
-        body = m.group(2)
-        if ";" not in body:
+        if ";" not in m.group(2):
             raise ParseError(f"missing justification on line {m.group(1)}")
-        formula_text, just_text = body.rsplit(";", 1)
+        end = code.rindex(";")
         lines.append(
             ProofLine(
                 int(m.group(1)),
-                parse_formula(formula_text),
-                _parse_justification(just_text),
+                _parse_at(parse_formula, code, number, m.start(2), end),
+                _parse_justification(code, number, end + 1),
             )
         )
     if goal is None:

@@ -397,6 +397,8 @@ _TMP_FILES = {
     "two.game": json.dumps(_TWO_AGENTS),
     "bad.proof": "premises: p\ngoal: K{a}p\n1. p ; premise\n2. K{a}p ; nec 1 {a}\n",
     "mp.proof": "premises: p ; p -> q\ngoal: q\n1. p ; premise\n2. p -> q ; premise\n3. q ; mp 1 2\n",
+    "bad-formula.proof": "goal: p -> p\n1. p -> ; taut\n",
+    "bad-coalition.proof": "goal: K{a}p\n1. p ; premise\n2. K{a}p ; nec 1 {a b}\n",
 }
 _DEDUCED = (
     "premises: p -> q\ngoal: p -> q\n1. p -> p ; taut\n2. p -> q ; premise\n"
@@ -525,6 +527,17 @@ GOLDEN_ERRORS = {
         ["eval", "--game", "truck_manual.game", "--play", "0", "--formula", "p ->"],
         "unexpected 'end of input' at byte 4, expected one of "
         "['IDENT', 'LPAREN', 'NOT', 'POSSK']",
+    ),
+    # a proof script's formula or coalition error names the script line and
+    # counts bytes from that line's start
+    "proof-bad-formula": (
+        ["prove", "--script", "{tmp}/bad-formula.proof"],
+        "line 2: unexpected 'end of input' at byte 8, expected one of "
+        "['IDENT', 'LPAREN', 'NOT', 'POSSK']",
+    ),
+    "proof-bad-coalition": (
+        ["prove", "--script", "{tmp}/bad-coalition.proof"],
+        "line 3: unexpected 'b' at byte 20, expected one of ['RBRACE']",
     ),
 }
 

@@ -1,6 +1,7 @@
 import json
 import time
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -528,3 +529,32 @@ def test_built_and_loaded_games_compare_equal(truck_manual):
     assert truck_manual == built
     assert load_game(dump_game(built)) == built
     assert dump_game(load_game(dump_game(truck_manual))) == dump_game(truck_manual)
+
+
+def test_equal_plays_hash_equal():
+    a = Play("s", {"a": "d", "b": "e"}, "o")
+    b = Play("s", MappingProxyType({"b": "e", "a": "d"}), "o")
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, Play("s", {"a": "d", "b": "f"}, "o")}) == 2
+
+
+def test_equal_built_and_loaded_games_hash_equal(truck_manual):
+    built = Game(
+        agents=("c",),
+        states=("high", "low"),
+        indist={"c": (frozenset({"high", "low"}),)},
+        actions=("speed-up", "slow-down"),
+        outcomes=("collision", "no-collision"),
+        plays=tuple(Play(p.state, dict(p.profile), p.outcome) for p in truck_manual.plays),
+        valuation={"col": frozenset({0, 3})},
+    )
+    loaded = load_game(dump_game(built))
+    assert built == truck_manual == loaded
+    assert hash(built) == hash(truck_manual) == hash(loaded)
+    assert len({built, truck_manual, loaded}) == 1
+    assert {*built.plays, *loaded.plays} == set(truck_manual.plays)
+    assert len({*built.plays, *loaded.plays}) == len(truck_manual.plays)
+    for seed in range(30):
+        g = gen_game(GenParams(seed=seed))
+        assert hash(load_game(dump_game(g))) == hash(g)
