@@ -2,7 +2,8 @@
 
 Subcommands: eval, extension, validity, witness, entail, prove, deduce,
 gen, sweep, search.  Exit codes: 0 = success/true/valid, 1 =
-false/invalid/countermodel-found, 2 = usage or input error.  Each
+false/invalid/countermodel-found, 2 = usage or input error, 141 =
+stdout closed before the output was written (128 + SIGPIPE).  Each
 subcommand is registered once in build_parser with its handler, which
 returns its report, exit code and human-readable text; `--json` prints
 the report as one JSON document instead of the text.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -34,6 +36,8 @@ _LAZY = frozenset(
     " GenParams SearchBudget find_countermodel gen_game soundness_sweep".split()
 )
 _cli = sys.modules[__name__]
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 def __getattr__(name):
@@ -219,7 +223,16 @@ def run(argv) -> int:
         return 2
     report = {"command": args.command, **report}
     report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    print(json.dumps(report, indent=2) if args.json else text)
+    try:
+        print(json.dumps(report, indent=2) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null
+        # device, so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -18,6 +18,10 @@ class ParseError(BlamelogicError):
         self.expected = frozenset(expected)
 
 
+class FormulaDepthError(BlamelogicError, ValueError):
+    """A formula node built in code would be deeper than syntax.MAX_NODE_DEPTH."""
+
+
 class FormatError(BlamelogicError):
     """Game document is structurally malformed (wrong types, missing fields)."""
 

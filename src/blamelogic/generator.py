@@ -8,6 +8,14 @@ instance's extension over all plays; any falsifying play is reported as a
 violation witness that can be replayed.  Countermodel search enumerates tiny game
 shapes exhaustively (smallest first) and then falls back to seeded random
 games until the candidate budget runs out.
+
+A random game is drawn as small ints (_draw) and then built (_build);
+gen_game does both, and the search only draws.  The search works frame by
+frame: a frame is a game without its valuation, and each distinct frame gets
+one valuation-free Game and its play masks for the call.  Each distinct
+candidate (frame, one mask per variable) is evaluated once against them;
+a duplicate still counts against the budget.  Only the countermodel
+returned is built as a Game of its own.
 """
 
 from __future__ import annotations
@@ -79,15 +87,14 @@ def derive_seed(seed: int, *salts: int) -> int:
     return value
 
 
-def _random_partition(rng, states):
-    if len(states) == 1:
-        return (frozenset(states),)
-    count = rng.randint(1, len(states))
-    labels = [rng.randrange(count) for _ in states]
-    blocks = {}
-    for state, label in zip(states, labels):
-        blocks.setdefault(label, set()).add(state)
-    return tuple(frozenset(b) for _, b in sorted(blocks.items()))
+def _draw_partition(rng, n_states):
+    """Block label of each state in a random partition, numbered by first
+    appearance, so that equal partitions get equal labels."""
+    if n_states == 1:
+        return (0,)
+    count = rng.randint(1, n_states)
+    first = {}
+    return tuple(first.setdefault(rng.randrange(count), len(first)) for _ in range(n_states))
 
 
 def _profiles(agents, actions):
@@ -99,44 +106,59 @@ def _profiles(agents, actions):
     return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
 
 
-def _random_game(rng, agents, states, actions, outcomes, variables, branching):
-    indist = {agent: _random_partition(rng, states) for agent in agents}
-    profiles = _profiles(agents, actions)
+def _draw(rng, n_agents, shape, n_vars, branching):
+    """The draws of one random game as small ints: (frame, valuation masks).
+
+    shape is (states, actions, outcomes).  The frame is (shape, each
+    agent's block labels, each play's (state, profile, outcome) ids), where
+    profile ids count in _profiles order; bit i of a valuation mask is play i.
+    """
+    n_states, n_actions, n_outcomes = shape
+    outcomes = range(n_outcomes)
+    parts = tuple(_draw_partition(rng, n_states) for _ in range(n_agents))
     plays = []
-    for state in states:
-        for profile in profiles:
+    for state in range(n_states):
+        for profile in range(n_actions**n_agents):
             first = rng.choice(outcomes)
-            plays.append(Play(state, profile, first))
+            plays.append((state, profile, first))
             for extra in outcomes:
                 if extra != first and rng.random() < branching:
-                    plays.append(Play(state, profile, extra))
+                    plays.append((state, profile, extra))
+    n = len(plays)
+    masks = tuple(sum(1 << i for i in range(n) if rng.random() < 0.5) for _ in range(n_vars))
+    return (shape, parts, tuple(plays)), masks
+
+
+def _build(agents, frame, valuation):
+    """The Game of a frame; valuation maps each variable to its play mask."""
+    (n_states, n_actions, n_outcomes), parts, ids = frame
+    states = tuple(f"s{i}" for i in range(n_states))
+    actions = tuple(f"d{i}" for i in range(n_actions))
+    outcomes = tuple(f"o{i}" for i in range(n_outcomes))
+    indist = {}
+    for agent, labels in zip(agents, parts):
+        blocks = {}
+        for state, label in zip(states, labels):
+            blocks.setdefault(label, set()).add(state)
+        indist[agent] = tuple(map(frozenset, blocks.values()))
+    profiles = _profiles(agents, actions)
+    plays = tuple(Play(states[s], profiles[p], outcomes[o]) for s, p, o in ids)
     valuation = {
-        var: frozenset(i for i in range(len(plays)) if rng.random() < 0.5)
-        for var in variables
+        var: frozenset(i for i in range(len(plays)) if mask >> i & 1)
+        for var, mask in valuation.items()
     }
-    return Game(
-        tuple(agents),
-        tuple(states),
-        indist,
-        tuple(actions),
-        tuple(outcomes),
-        tuple(plays),
-        valuation,
-    )
+    return Game(tuple(agents), states, indist, actions, outcomes, plays, valuation)
 
 
 def gen_game(params: GenParams) -> Game:
     """Random game honoring the size bounds; totality holds by construction."""
-    rng = random.Random(params.seed)
-    return _random_game(
-        rng,
-        AGENT_POOL[: params.num_agents],
-        tuple(f"s{i}" for i in range(params.num_states)),
-        tuple(f"d{i}" for i in range(params.num_actions)),
-        tuple(f"o{i}" for i in range(params.num_outcomes)),
-        tuple(f"p{i}" for i in range(params.num_variables)),
-        params.branching,
+    agents = AGENT_POOL[: params.num_agents]
+    shape = (params.num_states, params.num_actions, params.num_outcomes)
+    frame, masks = _draw(
+        random.Random(params.seed), len(agents), shape, params.num_variables, params.branching
     )
+    variables = (f"p{i}" for i in range(params.num_variables))
+    return _build(agents, frame, dict(zip(variables, masks)))
 
 
 def _random_coalition(rng, agents):
@@ -289,61 +311,36 @@ class SearchBudget:
 
 
 _RANDOM_SHAPE = (2, 2, 2, 0.15)  # most states, actions, outcomes; branching
-
-
+# (states, actions, outcomes) of the exhaustive tiny games, smallest first
 _TINY_SHAPES = (
-    (1, 1, 1),
-    (1, 2, 1),
-    (1, 1, 2),
-    (2, 1, 1),
-    (1, 2, 2),
-    (2, 2, 1),
-    (2, 1, 2),
-    (2, 2, 2),
+    (1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1), (1, 2, 2), (2, 2, 1), (2, 1, 2), (2, 2, 2)
 )
 
 
-def _partitions(states):
-    if len(states) <= 1:
-        return [(frozenset(states),)]
-    a, b = states
-    return [(frozenset([a, b]),), (frozenset([a]), frozenset([b]))]
-
-
-def _tiny_games(agents, variables):
-    """Exhaustive minimal-play games over one- and two-element components."""
-    for n_states, n_actions, n_outcomes in _TINY_SHAPES:
-        states = tuple(f"s{i}" for i in range(n_states))
-        actions = tuple(f"d{i}" for i in range(n_actions))
-        outcomes = tuple(f"o{i}" for i in range(n_outcomes))
-        pairs = [
-            (state, profile)
-            for state in states
-            for profile in _profiles(agents, actions)
-        ]
-        partition_choices = list(product(*[_partitions(states) for _ in agents]))
-        for assignment in product(outcomes, repeat=len(pairs)):
-            plays = tuple(
-                Play(state, profile, outcome)
-                for (state, profile), outcome in zip(pairs, assignment)
-            )
-            n = len(plays)
-            for parts in partition_choices:
-                indist = dict(zip(agents, parts))
-                for val_masks in product(range(1 << n), repeat=len(variables)):
-                    valuation = {
-                        var: frozenset(i for i in range(n) if mask >> i & 1)
-                        for var, mask in zip(variables, val_masks)
-                    }
-                    yield Game(
-                        tuple(agents),
-                        states,
-                        dict(indist),
-                        actions,
-                        outcomes,
-                        plays,
-                        valuation,
-                    )
+def _candidates(n_agents, n_vars, budget):
+    """(frame, valuation masks) of each candidate, in search order: the tiny
+    frames with every valuation, then one seeded random game per draw."""
+    for shape in _TINY_SHAPES:
+        n_states, n_actions, n_outcomes = shape
+        pairs = [(s, p) for s in range(n_states) for p in range(n_actions**n_agents)]
+        # per agent, one block or two
+        labels = [(0,)] if n_states == 1 else [(0, 0), (0, 1)]
+        part_choices = list(product(labels, repeat=n_agents))
+        for assignment in product(range(n_outcomes), repeat=len(pairs)):
+            plays = tuple((s, p, o) for (s, p), o in zip(pairs, assignment))
+            for parts in part_choices:
+                frame = (shape, parts, plays)
+                for masks in product(range(1 << len(plays)), repeat=n_vars):
+                    yield frame, masks
+    num_states, num_actions, num_outcomes, branching = _RANDOM_SHAPE
+    for k in range(budget.max_candidates):
+        rng = random.Random(derive_seed(budget.seed, 7, k))
+        shape = (
+            1 + rng.randrange(num_states),
+            1 + rng.randrange(num_actions),
+            1 + rng.randrange(num_outcomes),
+        )
+        yield _draw(rng, n_agents, shape, n_vars, branching)
 
 
 def find_countermodel(formula: Formula, budget: SearchBudget = None):
@@ -357,24 +354,23 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
         budget = SearchBudget()
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
-
-    def candidates():
-        yield from _tiny_games(agents, variables)
-        num_states, num_actions, num_outcomes, branching = _RANDOM_SHAPE
-        for k in range(budget.max_candidates):
-            rng = random.Random(derive_seed(budget.seed, 7, k))
-            yield _random_game(
-                rng,
-                agents,
-                tuple(f"s{i}" for i in range(1 + rng.randrange(num_states))),
-                tuple(f"d{i}" for i in range(1 + rng.randrange(num_actions))),
-                tuple(f"o{i}" for i in range(1 + rng.randrange(num_outcomes))),
-                variables,
-                branching,
-            )
-
-    for game in islice(candidates(), budget.max_candidates):
-        falsified = _falsified(game, formula)
-        if falsified:
-            return game, falsified[0]
+    atoms = tuple(map(Var, variables))
+    frames = {}  # frame -> (its number, its Game with no valuation, that Game's masks)
+    checked = set()  # (frame number, valuation) of candidates that hold everywhere
+    stream = _candidates(len(agents), len(variables), budget)
+    for frame, valuation in islice(stream, budget.max_candidates):
+        entry = frames.get(frame)
+        if entry is None:
+            game = _build(agents, frame, {})
+            entry = frames[frame] = (len(frames), game, semantics._masks_of(game))
+        number, game, masks = entry
+        key = (number, valuation)
+        if key in checked:
+            continue
+        checked.add(key)
+        memo = dict(zip(atoms, valuation))
+        missing = masks.full & ~semantics._ext(formula, masks.full, game, masks, memo)
+        if missing:
+            countermodel = _build(agents, frame, dict(zip(variables, valuation)))
+            return countermodel, (missing & -missing).bit_length() - 1
     return None

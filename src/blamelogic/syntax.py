@@ -17,7 +17,10 @@ Precedence, tightest first: modalities and `~`, then `&`, then `|`, then
 Nodes are hash-consed: a constructor returns the live node with its class
 and fields if there is one (a weak unique table finds it), so equal formulas
 are one object, `==` is `is`, and `hash` takes constant time.  Each node
-stores its size (nodes, counted as a tree) and depth when it is built.  The
+stores its size (nodes, counted as a tree) and depth when it is built, and
+a constructor refuses a node more than MAX_NODE_DEPTH levels deep with
+FormulaDepthError, so that formulas built in code, not only parsed ones,
+stay within reach of the recursive walks.  The
 helpers that walk a formula visit each distinct node once, so their time is
 linear in the shared graph however often `<->` reuses its operands.
 
@@ -44,7 +47,7 @@ import threading
 import weakref
 from dataclasses import FrozenInstanceError
 
-from .errors import ParseError
+from .errors import FormulaDepthError, ParseError
 
 Coalition = frozenset  # frozenset of agent name strings
 
@@ -52,6 +55,10 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 RESERVED_WORDS = frozenset({"true", "false"})
 MAX_DEPTH = 200  # deepest AST that parse_formula returns
 MAX_NODES = 10**5  # most AST nodes, counted as a tree, that parse_formula returns
+# deepest node any constructor builds: room for what the proof tools build
+# from parsed lines, and far enough below the interpreter's default recursion
+# limit that the recursive walks (printing, evaluation, pickling) finish
+MAX_NODE_DEPTH = 300
 
 
 # The unique table: (class, *fields) -> a weak reference to the one live
@@ -67,7 +74,10 @@ _sweep_at = _SWEEP_MIN
 
 def _intern(key, node, size, depth):
     """Finish node, whose fields are set, and insert it under key; return
-    it, or an equal node that another thread inserted first."""
+    it, or an equal node that another thread inserted first.  Raises
+    FormulaDepthError for a node more than MAX_NODE_DEPTH levels deep."""
+    if depth > MAX_NODE_DEPTH:
+        raise FormulaDepthError(f"formula more than {MAX_NODE_DEPTH} levels deep")
     _set_size(node, size)
     _set_depth(node, depth)
     ref = weakref.ref(node)
@@ -441,7 +451,7 @@ def parse_formula(text: str) -> Formula:
     p = _Parser(text)
     try:
         f = p.binary()
-    except RecursionError:
+    except (RecursionError, FormulaDepthError):
         raise ParseError("formula nested too deeply") from None
     if p.kinds[p.pos] != "EOF":
         p.fail({"EOF"})

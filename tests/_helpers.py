@@ -7,8 +7,10 @@ reference the fast evaluator is compared against.
 """
 
 import random
-from itertools import product
+from itertools import islice, product
 
+from blamelogic.game import Game, Play
+from blamelogic.generator import derive_seed
 from blamelogic.hilbert import (
     AXIOM_NAMES,
     Axiom,
@@ -20,7 +22,8 @@ from blamelogic.hilbert import (
     build_axiom,
     check_proof,
 )
-from blamelogic.syntax import Blames, Implies, Knows, Neg, Var
+from blamelogic.semantics import extension_mask
+from blamelogic.syntax import Blames, Implies, Knows, Neg, Var, formula_agents, formula_vars
 
 
 def same_block(game, agent, s1, s2):
@@ -199,3 +202,135 @@ def identity_empty_classes(real):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# Reference countermodel search: one Game per candidate, as the search was
+# first written; the frame-by-frame search must return exactly its results.
+
+_REFERENCE_RANDOM_SHAPE = (2, 2, 2, 0.15)
+
+_REFERENCE_TINY_SHAPES = (
+    (1, 1, 1),
+    (1, 2, 1),
+    (1, 1, 2),
+    (2, 1, 1),
+    (1, 2, 2),
+    (2, 2, 1),
+    (2, 1, 2),
+    (2, 2, 2),
+)
+
+
+def _reference_random_partition(rng, states):
+    if len(states) == 1:
+        return (frozenset(states),)
+    count = rng.randint(1, len(states))
+    labels = [rng.randrange(count) for _ in states]
+    blocks = {}
+    for state, label in zip(states, labels):
+        blocks.setdefault(label, set()).add(state)
+    return tuple(frozenset(b) for _, b in sorted(blocks.items()))
+
+
+def _reference_profiles(agents, actions):
+    return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
+
+
+def reference_random_game(rng, agents, states, actions, outcomes, variables, branching):
+    indist = {agent: _reference_random_partition(rng, states) for agent in agents}
+    profiles = _reference_profiles(agents, actions)
+    plays = []
+    for state in states:
+        for profile in profiles:
+            first = rng.choice(outcomes)
+            plays.append(Play(state, profile, first))
+            for extra in outcomes:
+                if extra != first and rng.random() < branching:
+                    plays.append(Play(state, profile, extra))
+    valuation = {
+        var: frozenset(i for i in range(len(plays)) if rng.random() < 0.5)
+        for var in variables
+    }
+    return Game(
+        tuple(agents),
+        tuple(states),
+        indist,
+        tuple(actions),
+        tuple(outcomes),
+        tuple(plays),
+        valuation,
+    )
+
+
+def _reference_partitions(states):
+    if len(states) <= 1:
+        return [(frozenset(states),)]
+    a, b = states
+    return [(frozenset([a, b]),), (frozenset([a]), frozenset([b]))]
+
+
+def _reference_tiny_games(agents, variables):
+    """Exhaustive minimal-play games over one- and two-element components."""
+    for n_states, n_actions, n_outcomes in _REFERENCE_TINY_SHAPES:
+        states = tuple(f"s{i}" for i in range(n_states))
+        actions = tuple(f"d{i}" for i in range(n_actions))
+        outcomes = tuple(f"o{i}" for i in range(n_outcomes))
+        pairs = [
+            (state, profile)
+            for state in states
+            for profile in _reference_profiles(agents, actions)
+        ]
+        partition_choices = list(product(*[_reference_partitions(states) for _ in agents]))
+        for assignment in product(outcomes, repeat=len(pairs)):
+            plays = tuple(
+                Play(state, profile, outcome)
+                for (state, profile), outcome in zip(pairs, assignment)
+            )
+            n = len(plays)
+            for parts in partition_choices:
+                indist = dict(zip(agents, parts))
+                for val_masks in product(range(1 << n), repeat=len(variables)):
+                    valuation = {
+                        var: frozenset(i for i in range(n) if mask >> i & 1)
+                        for var, mask in zip(variables, val_masks)
+                    }
+                    yield Game(
+                        tuple(agents),
+                        states,
+                        dict(indist),
+                        actions,
+                        outcomes,
+                        plays,
+                        valuation,
+                    )
+
+
+def reference_candidates(agents, variables, budget):
+    """Every candidate Game of the search, in order: the tiny games, then
+    one seeded random game per draw."""
+    yield from _reference_tiny_games(agents, variables)
+    num_states, num_actions, num_outcomes, branching = _REFERENCE_RANDOM_SHAPE
+    for k in range(budget.max_candidates):
+        rng = random.Random(derive_seed(budget.seed, 7, k))
+        yield reference_random_game(
+            rng,
+            agents,
+            tuple(f"s{i}" for i in range(1 + rng.randrange(num_states))),
+            tuple(f"d{i}" for i in range(1 + rng.randrange(num_actions))),
+            tuple(f"o{i}" for i in range(1 + rng.randrange(num_outcomes))),
+            variables,
+            branching,
+        )
+
+
+def reference_find_countermodel(formula, budget):
+    """(game, lowest falsifying play index) of the first candidate that
+    falsifies the formula, building and evaluating a Game per candidate."""
+    agents = tuple(sorted(formula_agents(formula))) or ("a",)
+    variables = tuple(sorted(formula_vars(formula))) or ("p0",)
+    for game in islice(reference_candidates(agents, variables, budget), budget.max_candidates):
+        missing = ((1 << len(game.plays)) - 1) & ~extension_mask(game, formula)
+        if missing:
+            return game, next(i for i in range(len(game.plays)) if missing >> i & 1)
+    return None

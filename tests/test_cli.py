@@ -75,23 +75,56 @@ def test_directory_as_game_is_input_error(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("formula", ["~" * 3000 + "p", "(" * 200 + "p" + ")" * 200])
-def test_deep_formula_is_input_error(formula):
+def _child_env():
+    """Environment for a CLI child that imports this checkout's package."""
     src = str(Path(blamelogic.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("formula", ["~" * 3000 + "p", "(" * 200 + "p" + ")" * 200])
+def test_deep_formula_is_input_error(formula):
     argv = ["eval", "--game", MANUAL, "--play", "0", "--formula", formula]
     proc = subprocess.run(
         [sys.executable, "-m", "blamelogic.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen"],
+        ["eval", "--game", MANUAL, "--play", "3", "--formula", "B{c}col"],
+        ["deduce", "--script", "lemma5.proof", "--phi", "p"],
+        ["search", "--formula", "p", "--json"],
+    ],
+)
+def test_closed_stdout_exits_with_the_broken_pipe_code(argv):
+    # the read end is closed before the child starts, so its first write
+    # fails, whether the output fills a buffer or is flushed only at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "blamelogic.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_recursion_past_the_parser_is_input_error(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from blamelogic.hilbert import (
     check_proof,
     deduction_transform,
 )
-from blamelogic.syntax import Implies, Knows, Var
+from blamelogic.syntax import MAX_DEPTH, MAX_NODE_DEPTH, Implies, Knows, Var, parse_formula
 
 p, q = Var("p"), Var("q")
 a = frozenset({"a"})
@@ -94,3 +94,25 @@ def test_transform_is_idempotent_on_remaining_premises():
     if out.premises:
         again = deduction_transform(out, out.premises[0])
         assert check_proof(again).valid
+
+
+def test_discharges_a_premise_at_the_parser_depth_limit():
+    # the weakening and distribution tautologies wrap the deepest line that
+    # parses in three more levels, which the constructors must accept
+    lhs = parse_formula("K{a}" * (MAX_DEPTH - 2) + "p")
+    rhs = parse_formula("K{b}" * (MAX_DEPTH - 2) + "q")
+    phi = Implies(lhs, rhs)
+    assert phi is parse_formula(f"({'K{a}' * (MAX_DEPTH - 2)}p) -> {'K{b}' * (MAX_DEPTH - 2)}q")
+    script = ProofScript(
+        (lhs, phi),
+        (
+            ProofLine(1, lhs, Premise()),
+            ProofLine(2, phi, Premise()),
+            ProofLine(3, rhs, MP(1, 2)),
+        ),
+        rhs,
+    )
+    out = deduction_transform(script, phi)
+    assert check_proof(out).valid
+    deepest = max(line.formula.depth for line in out.lines)
+    assert MAX_DEPTH < deepest <= MAX_NODE_DEPTH

@@ -1,11 +1,18 @@
 import random
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
-from _helpers import identity_empty_classes
-from blamelogic import semantics
-from blamelogic.game import validate_game
+import _helpers
+from _helpers import (
+    identity_empty_classes,
+    naive_evaluate,
+    reference_candidates,
+    reference_find_countermodel,
+)
+from blamelogic import generator, semantics
+from blamelogic.game import game_to_document, validate_game
 from blamelogic.generator import (
     AGENT_POOL,
     GenParams,
@@ -176,3 +183,84 @@ def test_sweep_reads_the_engine_mask(monkeypatch):
     # checked play is a violation
     assert broken.counts["Necessitation"] == 0
     assert len(broken.violations) == sum(broken.counts.values()) > 0
+
+
+# The search's formulas: the benchmark's eight non-theorem shapes, Truth-K,
+# Truth-B and a two-variable Truth-K instance, over one agent with a budget
+# of 610 tiny candidates, and a two-agent one whose 263,526 tiny candidates
+# outlast every budget below.
+_SEARCHED = [
+    "B{a}p -> K{a}p",
+    "p -> K{a}p",
+    "K{a,b}p -> K{a}p",
+    "p -> B{a}p",
+    "B{a}p -> B{b}p",
+    "~K{a}p -> K{a}~p",
+    "K{a}p -> K{a}q",
+    "B{a,b}p -> B{a}p",
+    "K{a}p -> p",
+    "B{a}p -> p",
+    "K{a}(p -> q) -> (p -> q)",
+    "K{a,b}p -> p",
+]
+_BUDGETS = (1, 2, 609, 610, 611, 1500, 5000)
+
+
+def _assert_same_search(formula, budget):
+    found = find_countermodel(formula, budget)
+    expected = reference_find_countermodel(formula, budget)
+    assert found == expected, (print_formula(formula), budget)
+    if found is None:
+        return
+    game, idx = found
+    assert game_to_document(game) == game_to_document(expected[0])
+    truth = [naive_evaluate(game, play, formula) for play in game.plays[: idx + 1]]
+    assert truth == [True] * idx + [False]
+
+
+@pytest.mark.parametrize("text", _SEARCHED)
+def test_search_returns_what_a_game_per_candidate_search_returns(text):
+    formula = parse_formula(text)
+    for max_candidates in _BUDGETS:
+        # no formula has fewer than 610 tiny games, which take no seed
+        for seed in (0, 7) if max_candidates > 610 else (0,):
+            _assert_same_search(formula, SearchBudget(max_candidates, seed))
+
+
+def test_search_on_random_formulas_returns_what_a_game_per_candidate_search_returns():
+    rng = random.Random(2024)
+    for k in range(60):
+        params = GenParams(num_variables=1 + k % 2, formula_depth=3, seed=rng.getrandbits(64))
+        formula = gen_formula(params, AGENT_POOL[: 1 + k // 2 % 2])
+        budget = SearchBudget(rng.choice(_BUDGETS), rng.getrandbits(64))
+        _assert_same_search(formula, budget)
+
+
+def test_random_phase_alone_returns_what_a_game_per_candidate_search_returns(monkeypatch):
+    # the fixed formulas all fall to a tiny game; with no tiny phase, every
+    # countermodel is a seeded random draw, so equal results mean equal draws
+    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
+    monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
+    # some of these fall at once, others only after 100 or more draws
+    for text in _SEARCHED[:8] + [
+        "K{a}p -> p",
+        "B{a}p -> B{a}(p & q)",
+        "K{a}p & K{a}q -> K{}(p | q)",
+        "~(B{a}p & K{b}~q & ~K{}(p | q))",
+    ]:
+        for seed in (0, 1, 7, 11, 2**64 - 1):
+            _assert_same_search(parse_formula(text), SearchBudget(300, seed))
+
+
+@pytest.mark.parametrize("tiny", [True, False])
+@pytest.mark.parametrize("agents, variables", [(("a",), ("p",)), (("a", "b"), ("p", "q"))])
+def test_candidates_build_the_reference_games_in_order(agents, variables, tiny, monkeypatch):
+    # one agent and one variable: the 610 tiny games, then 890 random draws
+    if not tiny:
+        monkeypatch.setattr(generator, "_TINY_SHAPES", ())
+        monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
+    budget = SearchBudget(1500, 3)
+    drawn = generator._candidates(len(agents), len(variables), budget)
+    expected = reference_candidates(agents, variables, budget)
+    for (frame, masks), game in islice(zip(drawn, expected), budget.max_candidates):
+        assert generator._build(agents, frame, dict(zip(variables, masks))) == game

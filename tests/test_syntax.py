@@ -1,14 +1,17 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from _helpers import naive_evaluate
-from blamelogic.errors import ParseError
+from blamelogic.errors import BlamelogicError, FormulaDepthError, ParseError
 from blamelogic.generator import GenParams, gen_formula
 from blamelogic.hilbert import check_proof, is_tautology_instance, parse_proof
 from blamelogic.semantics import extension
 from blamelogic.syntax import (
     BOTTOM,
     MAX_DEPTH,
+    MAX_NODE_DEPTH,
     MAX_NODES,
     Blames,
     Implies,
@@ -158,7 +161,9 @@ def test_unicode_whitespace_separates_tokens(text):
     assert parse_formula(text) == Implies(p, q)
 
 
-@pytest.mark.parametrize("text", ["~" * 3000 + "p", "(" * 200 + "p" + ")" * 200])
+@pytest.mark.parametrize(
+    "text", ["~" * 3000 + "p", "~" * MAX_NODE_DEPTH + "p", "(" * 200 + "p" + ")" * 200]
+)
 def test_deep_nesting_is_a_parse_error(text):
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_formula(text)
@@ -315,6 +320,49 @@ def test_formulas_past_the_depth_limit_are_parse_errors(kind):
     with pytest.raises(ParseError) as err:
         parse_formula(_chain(kind, MAX_DEPTH + 1))
     assert str(err.value) == "formula nested too deeply"
+
+
+c = frozenset({"c"})
+_WRAP = {
+    "~": Neg,
+    "K": lambda f: Knows(c, f),
+    "B": lambda f: Blames(c, f),
+    "->": lambda f: Implies(Var("col"), f),
+    "<-": lambda f: Implies(f, Var("col")),
+}
+
+
+def _built(kind, depth):
+    # `depth` levels built with the constructors, without the parser's bound
+    f = Var("col")
+    for _ in range(depth - 1):
+        f = _WRAP[kind](f)
+    return f
+
+
+@pytest.mark.parametrize("kind", _WRAP)
+def test_constructors_build_up_to_the_node_depth_limit(kind, truck_manual):
+    f = _built(kind, MAX_NODE_DEPTH)
+    assert f.depth == _depth(f) == MAX_NODE_DEPTH
+    # the recursive walks finish under the default recursion limit, and
+    # agree with a chain of two or three levels with the same parity
+    shallow = _built(kind, 2 + MAX_NODE_DEPTH % 2)
+    assert print_formula(f).count("col") == (MAX_NODE_DEPTH if "-" in kind else 1)
+    assert modal_atoms(f) == ({f} if kind in ("K", "B") else {Var("col")})
+    assert is_tautology_instance(f) == is_tautology_instance(shallow)
+    if kind != "B":
+        assert extension(truck_manual, f) == extension(truck_manual, shallow)
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+@pytest.mark.parametrize("kind", _WRAP)
+def test_constructors_refuse_a_node_past_the_node_depth_limit(kind):
+    below = _built(kind, MAX_NODE_DEPTH)
+    with pytest.raises(FormulaDepthError) as err:
+        _WRAP[kind](below)
+    assert isinstance(err.value, BlamelogicError) and isinstance(err.value, ValueError)
+    # the parser's own bound is the tighter one
+    assert MAX_DEPTH < MAX_NODE_DEPTH
 
 
 def _size(f):
