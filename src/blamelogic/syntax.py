@@ -20,9 +20,9 @@ are one object, `==` is `is`, and `hash` takes constant time.  Each node
 stores its size (nodes, counted as a tree) and depth when it is built, and
 a constructor refuses a node more than MAX_NODE_DEPTH levels deep with
 FormulaDepthError, so that formulas built in code, not only parsed ones,
-stay within reach of the recursive walks.  The
-helpers that walk a formula visit each distinct node once, so their time is
-linear in the shared graph however often `<->` reuses its operands.
+stay within reach of the recursive walks.  The helpers that walk a formula
+visit each distinct node once, so their time is linear in the shared graph
+however often `<->` reuses its operands.
 
 One compiled regular expression splits the text into tokens, and one
 precedence-climbing method reads the token kinds and texts by index: the

@@ -3,7 +3,9 @@
 naive_evaluate reimplements the satisfaction relation directly from its
 definition: no caching, indistinguishability by scanning partition blocks,
 and the blame clause as a literal exists/forall double loop (naive_witness).  It is the
-reference the fast evaluator is compared against.
+reference the fast evaluator is compared against.  reference_find_countermodel
+is the countermodel search as first written, building and evaluating one Game
+per candidate; the frame-by-frame search must return exactly its results.
 """
 
 import random
@@ -205,8 +207,7 @@ def make_rng(seed):
 
 
 # ---------------------------------------------------------------------------
-# Reference countermodel search: one Game per candidate, as the search was
-# first written; the frame-by-frame search must return exactly its results.
+# Reference countermodel search
 
 _REFERENCE_RANDOM_SHAPE = (2, 2, 2, 0.15)
 
@@ -237,7 +238,7 @@ def _reference_profiles(agents, actions):
     return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
 
 
-def reference_random_game(rng, agents, states, actions, outcomes, variables, branching):
+def _reference_random_game(rng, agents, states, actions, outcomes, variables, branching):
     indist = {agent: _reference_random_partition(rng, states) for agent in agents}
     profiles = _reference_profiles(agents, actions)
     plays = []
@@ -313,7 +314,7 @@ def reference_candidates(agents, variables, budget):
     num_states, num_actions, num_outcomes, branching = _REFERENCE_RANDOM_SHAPE
     for k in range(budget.max_candidates):
         rng = random.Random(derive_seed(budget.seed, 7, k))
-        yield reference_random_game(
+        yield _reference_random_game(
             rng,
             agents,
             tuple(f"s{i}" for i in range(1 + rng.randrange(num_states))),

@@ -322,11 +322,11 @@ def test_formulas_past_the_depth_limit_are_parse_errors(kind):
     assert str(err.value) == "formula nested too deeply"
 
 
-c = frozenset({"c"})
+_C = frozenset({"c"})
 _WRAP = {
     "~": Neg,
-    "K": lambda f: Knows(c, f),
-    "B": lambda f: Blames(c, f),
+    "K": lambda f: Knows(_C, f),
+    "B": lambda f: Blames(_C, f),
     "->": lambda f: Implies(Var("col"), f),
     "<-": lambda f: Implies(f, Var("col")),
 }
