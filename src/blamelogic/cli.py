@@ -27,23 +27,7 @@ from .game import game_to_document, load_game
 from .semantics import blame_witness, evaluate, extension, is_valid, semantic_entailment
 from .syntax import Blames, parse_formula, print_formula
 
-# Only prove and deduce need hilbert, and only gen, sweep and search need
-# generator: their names are read from the package on first use, and the
-# handlers reach them through this module object (`_cli.name`), so that a
-# patched attribute is seen, also when the module runs as __main__.
-_LAZY = frozenset(
-    "check_proof deduction_transform format_proof parse_proof"
-    " GenParams SearchBudget find_countermodel gen_game soundness_sweep".split()
-)
-_cli = sys.modules[__name__]
-
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
 
 
 def _read_input(path: str) -> str:
@@ -115,9 +99,11 @@ def _cmd_entail(args):
     return _verdict(value, "entailed", "not-entailed")
 
 
+# only prove and deduce import hilbert, and only gen, sweep and search generator
 def _cmd_prove(args):
-    script = _cli.parse_proof(_read_input(args.script))
-    report = _cli.check_proof(script)
+    from .hilbert import check_proof, parse_proof
+
+    report = check_proof(parse_proof(_read_input(args.script)))
     if report.valid:
         return {"verdict": "valid"}, 0, "valid"
     data = {"line": report.error_line, "reason": report.reason}
@@ -127,20 +113,26 @@ def _cmd_prove(args):
 
 # deduce and gen print their payload bare, so it can be piped to a file
 def _cmd_deduce(args):
-    script = _cli.parse_proof(_read_input(args.script))
-    text = _cli.format_proof(_cli.deduction_transform(script, parse_formula(args.phi)))
+    from .hilbert import deduction_transform, format_proof, parse_proof
+
+    script = parse_proof(_read_input(args.script))
+    text = format_proof(deduction_transform(script, parse_formula(args.phi)))
     return {"verdict": "ok", "data": {"script": text}}, 0, text.rstrip("\n")
 
 
 def _cmd_gen(args):
-    doc = game_to_document(_cli.gen_game(_cli.GenParams(seed=args.seed)))
+    from .generator import GenParams, gen_game
+
+    doc = game_to_document(gen_game(GenParams(seed=args.seed)))
     return {"verdict": "ok", "data": {"game": doc}}, 0, json.dumps(doc, indent=2)
 
 
 def _cmd_sweep(args):
+    from .generator import GenParams, soundness_sweep
+
     if args.trials < 0:
         raise BlamelogicError("trials must be nonnegative")
-    report = _cli.soundness_sweep(_cli.GenParams(seed=args.seed), args.trials)
+    report = soundness_sweep(GenParams(seed=args.seed), args.trials)
     violations = [
         {
             "schema": v.schema,
@@ -163,8 +155,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_search(args):
+    from .generator import SearchBudget, find_countermodel
+
     formula = parse_formula(args.formula)
-    found = _cli.find_countermodel(formula, _cli.SearchBudget(args.budget, args.seed))
+    found = find_countermodel(formula, SearchBudget(args.budget, args.seed))
     if found is None:
         return {"verdict": "none"}, 0, "none"
     game, idx = found

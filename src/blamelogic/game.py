@@ -1,4 +1,4 @@
-"""Finite strategic games with imperfect information: model, loader, validator.
+"""Finite strategic games with imperfect information: model, index, loader, validator.
 
 A game bundles initial states, one indistinguishability partition per agent,
 actions, outcomes, a set of plays (state, complete action profile, outcome),
@@ -7,13 +7,15 @@ Totality is required: every (state, profile) pair must appear in at least
 one play.  Games are immutable after construction: `indist` and
 `valuation` are read-only mappings, and every operation here is a pure
 read.  The loader gives all plays with equal profiles one shared,
-read-only profile, so the validator and the semantics module do their
-per-profile work once per distinct profile object, not once per play;
-plays built in code keep the profile object they were given.
+read-only profile; plays built in code keep the profile object they were
+given.
 
-Indistinguishability is read from the partitions on demand: a state's key
-under an agent is the index of its first block (None if in none), and
-states are C-indistinguishable when their keys agree for all of C.
+This module owns each game's index (`_Masks`): its play sets as bitmasks,
+built once by `Game.__post_init__` and read by the validator, the semantics
+module and the countermodel search.  Its one pass over the plays groups them
+by profile object, so per-profile work is done once per distinct profile.
+A state's key under a coalition is its tuple of first-block indices under
+the members (`_state_keys`); C-indistinguishable states have equal keys.
 
 The on-disk format is a single JSON document; see load_game / dump_game.
 Agents absent from the "indist" map get the identity partition (perfect
@@ -71,8 +73,7 @@ class Game:
     outcomes: tuple
     plays: tuple  # of Play
     valuation: dict  # variable name -> frozenset of play indices
-    # play-set bitmasks, built on first use by the semantics module
-    _masks: object = field(init=False, compare=False, repr=False, default=None)
+    _masks: _Masks = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # canonical block order makes structural equality and the
@@ -83,43 +84,107 @@ class Game:
         }
         object.__setattr__(self, "indist", MappingProxyType(canonical))
         object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
+        object.__setattr__(self, "_masks", _Masks(self))
 
     def __hash__(self):  # as for Play: the two mappings hash by their items
         mappings = frozenset(self.indist.items()), frozenset(self.valuation.items())
         return hash((self.agents, self.states, self.actions, self.outcomes, self.plays, mappings))
 
 
+class _Masks:
+    """A game's play sets as int bitmasks (bit i is play i).
+
+    One pass over the plays builds the state masks, the groups of plays per
+    profile object (`[profile, mask]` in first-play order) and each play's
+    group number; then come each play object's first position, the (agent,
+    action) masks and the variable masks.  Coalition classes fill in on
+    first use (_classes).  The index holds no reference to the game.
+    """
+
+    __slots__ = ("full", "state", "groups", "group_of", "index", "act", "var", "classes")
+
+    def __init__(self, game: Game):
+        n = len(game.plays)
+        self.full = (1 << n) - 1
+        self.state = state = {}
+        self.groups = groups = []
+        self.group_of = group_of = []
+        numbers = {}  # id(profile) -> its group's number
+        bit = 1
+        for play in game.plays:
+            state[play.state] = state.get(play.state, 0) | bit
+            profile = play.profile
+            number = numbers.get(id(profile))
+            if number is None:
+                number = numbers[id(profile)] = len(groups)
+                groups.append([profile, bit])
+            else:
+                groups[number][1] |= bit
+            group_of.append(number)
+            bit <<= 1
+        # id(play) -> position, zipped from the back so an object's first one wins
+        self.index = dict(zip(map(id, reversed(game.plays)), range(n - 1, -1, -1)))
+        self.act = act = {}  # (agent, action) -> plays where agent took action
+        for profile, mask in groups:
+            for key in profile.items():
+                act[key] = act.get(key, 0) | mask
+        self.var = var = {}
+        for name, indices in game.valuation.items():
+            digits = bytearray(b"0" * (n + 1))  # base 2 after a leading 0: play i is digits[~i]
+            for i in indices:
+                if isinstance(i, int) and 0 <= i < n:  # the validator names any other
+                    digits[~i] = 49  # "1"
+            var[name] = int(digits, 2)
+        self.classes = {}
+
+
+def _indices(mask: int) -> list:
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 def identity_partition(states) -> tuple:
     return tuple(frozenset([s]) for s in states)
 
 
-def _block_index(game: Game, agent) -> dict:
-    """State -> index of its first block in the agent's partition; a state
-    in no block is left out (key None).  Raises UnknownAgentError unless the
-    agent is in both game.agents and game.indist."""
-    blocks = game.indist.get(agent) if agent in game.agents else None
-    if blocks is None:
-        raise UnknownAgentError(f"unknown agent: {agent}")
-    index = {}
-    for i, block in enumerate(blocks):
-        for state in block:
-            index.setdefault(state, i)
-    return index
+def _state_keys(game: Game, coalition) -> dict:
+    """State -> its tuple of first-block indices under the sorted members
+    (None where a member's partition misses the state).  Checks every member
+    first: raises UnknownAgentError unless each is in both game.agents and
+    game.indist."""
+    members = sorted(coalition)
+    for agent in members:
+        if agent not in game.agents or agent not in game.indist:
+            raise UnknownAgentError(f"unknown agent: {agent}")
+    indexes = [  # built from the last block back, so a state's first block wins
+        {s: i for i, block in reversed(tuple(enumerate(game.indist[a]))) for s in block}
+        for a in members
+    ]
+    return {s: tuple(index.get(s) for index in indexes) for s in game.states}
+
+
+def _classes(game: Game, masks: _Masks, coalition) -> tuple:
+    """Play masks of the coalition's indistinguishability classes, the
+    states grouped by their keys; cached per coalition in the index."""
+    classes = masks.classes.get(coalition)
+    if classes is None:
+        groups = {}
+        for s, key in _state_keys(game, coalition).items():
+            groups[key] = groups.get(key, 0) | masks.state.get(s, 0)
+        classes = masks.classes[coalition] = tuple(b for b in groups.values() if b)
+    return classes
 
 
 def indistinguishable(game: Game, coalition, s1: str, s2: str) -> bool:
-    """True iff s1 and s2 have the same block key for every coalition member.
+    """True iff s1 and s2 have the same key under the coalition.
 
     The empty coalition relates any two states.
     """
     for s in (s1, s2):
         if s not in game.states:
             raise UnknownStateError(f"unknown state: {s}")
-    for agent in coalition:
-        index = _block_index(game, agent)
-        if index.get(s1) != index.get(s2):
-            return False
-    return True
+    keys = _state_keys(game, coalition)
+    return keys[s1] == keys[s2]
 
 
 @dataclass(frozen=True)
@@ -182,31 +247,23 @@ def validate_game(game: Game) -> ValidationReport:
     agents = set(game.agents)
     actions = set(game.actions)
     outcomes = set(game.outcomes)
-    facts = {}  # id(profile) -> _profile_facts, once per distinct profile object
+    facts = [_profile_facts(p, game.agents, agents, actions) for p, _ in game._masks.groups]
     seen_plays = set()
     covered = set()  # (state, profile in agent order) over declared actions
-    for i, play in enumerate(game.plays):
-        profile = play.profile
-        fact = facts.get(id(profile))
-        if fact is None:
-            fact = facts[id(profile)] = _profile_facts(profile, game.agents, agents, actions)
-        profile_key, in_order, unknown = fact
+    for i, (play, number) in enumerate(zip(game.plays, game._masks.group_of)):
+        profile_key, in_order, unknown = facts[number]
         state, outcome = play.state, play.outcome
         if in_order is not None:
             covered.add((state, in_order))
-        key = (state, profile_key, outcome)
-        # the usual case, a new play with nothing to report
-        if unknown == () and state in states and outcome in outcomes and key not in seen_plays:
-            seen_plays.add(key)
-            continue
         if state not in states:
             bad.append(f"play {i} references unknown state: {state}")
         if outcome not in outcomes:
             bad.append(f"play {i} references unknown outcome: {outcome}")
         if unknown is None:
             bad.append(f"play {i} profile domain is not exactly the agent set")
-        else:
+        elif unknown:
             bad.extend(f"play {i} references unknown action: {a}" for a in unknown)
+        key = (state, profile_key, outcome)
         if key in seen_plays:
             bad.append(f"duplicate play at index {i}")
         seen_plays.add(key)
@@ -349,7 +406,7 @@ def load_game(text: str) -> Game:
     """Parse and validate the JSON game format; never returns an invalid Game."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
         raise FormatError(f"not valid JSON: {e}") from e
     return game_from_document(doc)
 

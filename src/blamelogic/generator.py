@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from itertools import islice, product
 
 from . import semantics
-from .game import Game, Play
+from .game import Game, Play, _indices
 from .hilbert import AXIOM_NAMES, DISJOINT, SCHEMAS, SUBSET, build_axiom
 from .syntax import (
     Blames,
@@ -67,15 +67,15 @@ class GenParams:
     def __post_init__(self):
         for name, (lo, hi) in _BOUNDS.items():
             value = getattr(self, name)
-            if not (isinstance(value, int) and lo <= value <= hi):
+            if not (type(value) is int and lo <= value <= hi):  # bool is no count
                 raise ValueError(f"{name} must be an integer in {lo}..{hi}")
-        if not 0.0 <= self.branching <= 1.0:
+        if not (type(self.branching) in (int, float) and 0.0 <= self.branching <= 1.0):
             raise ValueError("branching must be a probability in [0, 1]")
         _check_seed(self.seed)
 
 
 def _check_seed(seed):
-    if not (isinstance(seed, int) and 0 <= seed <= _SEED_MASK):
+    if not (type(seed) is int and 0 <= seed <= _SEED_MASK):
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
@@ -143,10 +143,7 @@ def _build(agents, frame, valuation):
         indist[agent] = tuple(map(frozenset, blocks.values()))
     profiles = _profiles(agents, actions)
     plays = tuple(Play(states[s], profiles[p], outcomes[o]) for s, p, o in ids)
-    valuation = {
-        var: frozenset(i for i in range(len(plays)) if mask >> i & 1)
-        for var, mask in valuation.items()
-    }
+    valuation = {var: frozenset(_indices(mask)) for var, mask in valuation.items()}
     return Game(tuple(agents), states, indist, actions, outcomes, plays, valuation)
 
 
@@ -251,10 +248,8 @@ def _sweep_instances(rng, agents, phi, psi):
 
 def _falsified(game: Game, formula: Formula) -> list:
     """Indices of the plays at which the formula fails, ascending."""
-    missing = ((1 << len(game.plays)) - 1) & ~semantics.extension_mask(game, formula)
-    if not missing:
-        return []
-    return [i for i in range(len(game.plays)) if missing >> i & 1]
+    missing = game._masks.full & ~semantics.extension_mask(game, formula)
+    return _indices(missing) if missing else []  # valid is the usual case
 
 
 def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
@@ -306,6 +301,8 @@ class SearchBudget:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        if type(self.max_candidates) is not int:
+            raise ValueError("max_candidates must be an integer")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
 
@@ -362,7 +359,7 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
         entry = frames.get(frame)
         if entry is None:
             game = _build(agents, frame, {})
-            entry = frames[frame] = (len(frames), game, semantics._masks_of(game))
+            entry = frames[frame] = (len(frames), game, game._masks)
         number, game, masks = entry
         key = (number, valuation)
         if key in checked:

@@ -11,8 +11,9 @@ A formula is evaluated at a play (state, complete action profile, outcome):
     agrees with that choice on C's members.
 
 A state's C-class is keyed by its block keys under C's members (distributed
-knowledge), so one pass over the states builds C's classes; building them
-raises UnknownAgentError for an agent the game does not know.
+knowledge).  The game module builds each game's masks (`_Masks`) with the
+Game and the C-classes from them (`_classes`), raising UnknownAgentError
+for an agent the game does not know; this module holds only the modal logic.
 
 Both modalities depend on the play only through its C-class, so the engine
 computes a formula's extension over all plays at once, bottom-up, as an
@@ -28,78 +29,15 @@ strategies.  A choice matching no play of the class prevents vacuously.
 Per call the work is O(|formula| * |plays| / word size) plus the blame
 walks, where |formula| counts distinct subformulas: formulas are interned
 (equal subtrees are one node), and a per-call memo keyed by node evaluates
-each once.  The masks of variables, states, (agent, action) pairs and coalition
-classes are cached on the Game, which is immutable; the cache holds no
-reference back to it.  Every public function is a view of one mask.
+each once.  Every public function is a view of one mask.
 """
 
 from __future__ import annotations
 
 from .errors import PlayNotInGameError
-from .game import Game, Play, Strategy, _block_index
+# _ext reads _classes from this module's globals, where a test may patch it
+from .game import Game, Play, Strategy, _classes, _indices, _Masks
 from .syntax import Blames, Formula, Implies, Knows, Neg, Var
-
-
-class _Masks:
-    """Play sets of one game as bitmasks; coalition classes fill in lazily.
-
-    Action masks are built once per distinct profile object: every play
-    first ORs its bit into its profile's mask.  Loaded and generated games
-    share one profile object among all plays with that profile.
-    """
-
-    __slots__ = ("full", "var", "state", "act", "index", "classes")
-
-    def __init__(self, game: Game):
-        n = len(game.plays)
-        self.full = (1 << n) - 1
-        self.state = state = {}
-        groups = {}  # id(profile) -> [profile, plays holding that object]
-        bit = 1
-        for play in game.plays:
-            state[play.state] = state.get(play.state, 0) | bit
-            profile = play.profile
-            group = groups.get(id(profile))
-            if group is None:
-                groups[id(profile)] = [profile, bit]
-            else:
-                group[1] |= bit
-            bit <<= 1
-        self.act = act = {}  # (agent, action) -> plays where agent took action
-        for profile, mask in groups.values():
-            for key in profile.items():
-                act[key] = act.get(key, 0) | mask
-        self.var = var = {}
-        for name, indices in game.valuation.items():
-            mask = 0
-            for i in indices:
-                if 0 <= i < n:
-                    mask |= 1 << i
-            var[name] = mask
-        self.index = None  # id(play) -> first index of that object, on first use
-        self.classes = {}
-
-
-def _masks_of(game: Game) -> _Masks:
-    masks = game._masks
-    if masks is None:
-        masks = _Masks(game)
-        object.__setattr__(game, "_masks", masks)
-    return masks
-
-
-def _classes(game: Game, masks: _Masks, coalition) -> tuple:
-    """Play masks of the coalition's indistinguishability classes, grouping
-    the states by their tuple of block keys under the sorted members."""
-    classes = masks.classes.get(coalition)
-    if classes is None:
-        indexes = [_block_index(game, agent) for agent in sorted(coalition)]
-        groups = {}
-        for s in game.states:
-            key = tuple(index.get(s) for index in indexes)
-            groups[key] = groups.get(key, 0) | masks.state.get(s, 0)
-        classes = masks.classes[coalition] = tuple(b for b in groups.values() if b)
-    return classes
 
 
 def _prevent(rest: int, members, actions, act: dict):
@@ -123,7 +61,7 @@ def _prevent(rest: int, members, actions, act: dict):
 
 def extension_mask(game: Game, formula: Formula) -> int:
     """The formula's extension as an int whose bit i is set iff it holds at play i."""
-    masks = _masks_of(game)
+    masks = game._masks
     return _ext(formula, masks.full, game, masks, {})
 
 
@@ -167,13 +105,8 @@ def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
 
 
 def _locate(game: Game, play: Play) -> int:
-    masks = _masks_of(game)
-    if masks.index is None:
-        # built from the last play back, so the first index of an object wins
-        plays = game.plays
-        masks.index = dict(zip(map(id, reversed(plays)), range(len(plays) - 1, -1, -1)))
-    i = masks.index.get(id(play))
-    if i is not None and game.plays[i] is play:
+    i = game._masks.index.get(id(play))
+    if i is not None:
         return i
     for i, p in enumerate(game.plays):
         if p == play:
@@ -188,13 +121,12 @@ def evaluate(game: Game, play: Play, formula: Formula) -> bool:
 
 def extension(game: Game, formula: Formula) -> frozenset:
     """Indices of exactly the plays at which the formula holds."""
-    bits = bin(extension_mask(game, formula))[:1:-1]
-    return frozenset(i for i, bit in enumerate(bits) if bit == "1")
+    return frozenset(_indices(extension_mask(game, formula)))
 
 
 def is_valid(game: Game, formula: Formula) -> bool:
     """True iff the formula holds at every play of the game."""
-    return extension_mask(game, formula) == _masks_of(game).full
+    return extension_mask(game, formula) == game._masks.full
 
 
 def blame_witness(game: Game, play: Play, coalition, formula: Formula):
@@ -206,7 +138,7 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
     """
     coalition = frozenset(coalition)
     true = extension_mask(game, formula)
-    masks = _masks_of(game)
+    masks = game._masks
     classes = _classes(game, masks, coalition)  # raises on an unknown member
     bit = 1 << _locate(game, play)
     if not true & bit:
@@ -221,7 +153,7 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
 
 def semantic_entailment(game: Game, hypotheses, formula: Formula) -> bool:
     """True iff every play satisfying all hypotheses also satisfies formula."""
-    hyps = _masks_of(game).full
+    hyps = game._masks.full
     for h in hypotheses:
         hyps &= extension_mask(game, h)
     return not hyps & ~extension_mask(game, formula)

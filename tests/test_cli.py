@@ -127,6 +127,15 @@ def test_closed_stdout_exits_with_the_broken_pipe_code(argv):
     assert proc.stderr == ""
 
 
+def test_deeply_nested_game_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.game"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "eval", "--game", str(path), "--play", "0", "--formula", "p")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_recursion_past_the_parser_is_input_error(capsys, monkeypatch):
     # a formula just under the parser's limit can still overflow the engine
     def overflow(*args):
@@ -616,7 +625,7 @@ def test_golden_sweep_lists_at_most_ten_violations(capsys, tmp_path, monkeypatch
     def twelve_violations(params, trials):
         return SweepReport(trials, {"Truth-K": 12}, violations)
 
-    monkeypatch.setattr(cli, "soundness_sweep", twelve_violations)
+    monkeypatch.setattr("blamelogic.generator.soundness_sweep", twelve_violations)
     argv = ["sweep", "--trials", "12"]
     lines = [f"violation: Truth-K at trial {t} play 0: K{{a}}p -> p" for t in range(10)]
     text = "\n".join(["12 violations / 12 trials", *lines, "checked: Truth-K=12"]) + "\n"

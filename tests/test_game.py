@@ -20,6 +20,7 @@ from blamelogic.game import (
     game_to_document,
     indistinguishable,
     load_game,
+    load_game_file,
     validate_game,
 )
 from blamelogic.generator import GenParams, gen_game
@@ -168,6 +169,53 @@ def test_indistinguishable_errors(truck_manual):
         indistinguishable(truck_manual, {"c"}, "nowhere", "low")
     with pytest.raises(UnknownAgentError):
         indistinguishable(truck_manual, {"zz"}, "high", "low")
+
+
+@pytest.mark.parametrize("coalition", [["c", "zz"], ["zz", "c"], {"c", "zz"}])
+def test_indistinguishable_checks_every_member(truck_selfdriving, coalition):
+    # "c" alone separates high from low; the unknown "zz" must still raise,
+    # whatever the member order (or set iteration order), as in the engine
+    with pytest.raises(UnknownAgentError, match="zz"):
+        indistinguishable(truck_selfdriving, coalition, "high", "low")
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_json_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="not valid JSON"):
+        load_game(DEEP_JSON)
+    path = tmp_path / "deep.game"
+    path.write_text(DEEP_JSON)
+    with pytest.raises(FormatError, match="not valid JSON"):
+        load_game_file(path)
+
+
+def test_building_a_bad_game_raises_nothing():
+    # the index is built with the Game; what is wrong is left to the validator
+    g = Game(
+        agents=("a", "b"),
+        states=("s",),
+        indist={"a": (frozenset({"s", "t"}),), "zz": ()},
+        actions=("d",),
+        outcomes=("o",),
+        plays=(Play("s", {"a": "d"}, "o"), Play("t", {"a": "x", "b": "d"}, "?")),
+        valuation={"p": frozenset({0, 2, -1, "1", 1.0, None})},
+    )
+    assert g._masks.var == {"p": 0b1}
+    violations = validate_game(g).violations
+    for expected in (
+        "indist references unknown agent: zz",
+        "missing partition for agent b",
+        "partition for agent a references unknown state: t",
+        "play 0 profile domain is not exactly the agent set",
+        "play 1 references unknown state: t",
+        "play 1 references unknown outcome: ?",
+        "play 1 references unknown action: x",
+        "valuation index out of range: p -> 2",
+        "valuation index out of range: p -> 1.0",
+    ):
+        assert expected in violations
 
 
 def _coalitions(agents):

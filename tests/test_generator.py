@@ -43,6 +43,29 @@ def test_params_bounds_enforced():
         SearchBudget(max_candidates=0)
 
 
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (SearchBudget, "max_candidates", 1.5),
+        (SearchBudget, "max_candidates", "5"),
+        (SearchBudget, "max_candidates", True),
+        (SearchBudget, "seed", 1.0),
+        (SearchBudget, "seed", True),
+        (GenParams, "num_agents", True),
+        (GenParams, "num_states", 2.0),
+        (GenParams, "formula_depth", "2"),
+        (GenParams, "branching", "x"),
+        (GenParams, "branching", None),
+        (GenParams, "branching", False),
+        (GenParams, "seed", True),
+        (GenParams, "seed", "0"),
+    ],
+)
+def test_params_reject_wrong_types_when_built(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        cls(**{field: value})
+
+
 def test_minimal_params_give_the_unique_one_play_game():
     g = gen_game(GenParams(1, 1, 1, 1, 1, 0.0, 0, 123))
     assert g.states == ("s0",)

@@ -13,7 +13,6 @@ from blamelogic.generator import GenParams, gen_formula, gen_game
 from blamelogic.hilbert import is_tautology_instance
 from blamelogic.semantics import (
     _classes,
-    _masks_of,
     blame_witness,
     evaluate,
     extension,
@@ -136,7 +135,7 @@ def _loose_partition_games(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_loose_partition_games())
 def test_classes_group_states_as_indistinguishable(g):
-    masks = _masks_of(g)
+    masks = g._masks
 
     def first_block(agent, s):
         return next((i for i, b in enumerate(g.indist[agent]) if s in b), None)
