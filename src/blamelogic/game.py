@@ -125,9 +125,13 @@ class _Masks:
         # id(play) -> position, zipped from the back so an object's first one wins
         self.index = dict(zip(map(id, reversed(game.plays)), range(n - 1, -1, -1)))
         self.act = act = {}  # (agent, action) -> plays where agent took action
-        for profile, mask in groups:
-            for key in profile.items():
-                act[key] = act.get(key, 0) | mask
+        try:
+            for profile, mask in groups:
+                for key in profile.items():
+                    act[key] = act.get(key, 0) | mask
+        except AttributeError:  # the group's first play is its lowest bit
+            i = (mask & -mask).bit_length() - 1
+            raise TypeError(f"play {i}: profile is not a mapping: {profile!r}") from None
         self.var = var = {}
         for name, indices in game.valuation.items():
             digits = bytearray(b"0" * (n + 1))  # base 2 after a leading 0: play i is digits[~i]

@@ -101,7 +101,7 @@ def _profiles(agents, actions):
     """Every complete profile, in product order, one dict each.
 
     Plays share these dicts, as loaded plays share their profiles, so the
-    semantics module builds its action masks once per profile, not per play.
+    game's index (game._Masks) builds its action masks once per profile.
     """
     return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
 

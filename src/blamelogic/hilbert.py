@@ -13,10 +13,13 @@ assignments with bitmask truth tables: bit r of an atom's mask is its value
 in row r, and the semantics engine's `_ext` evaluates the connectives over
 those masks as it does over play masks.
 
-SCHEMAS is the single source of the eleven axiom schemas: a builder over
+SCHEMAS holds the only encoding of the eleven axiom schemas: a builder over
 the metavariables (phi, psi, C, D) and a side condition on (C, D) for each.
-build_axiom calls the builder; match_schema unifies a formula against the
-builder's output on placeholders; the table's order is match_axiom's
+build_axiom calls the builder.  match_schema binds, rebuilds and compares:
+it reads each metavariable's first counterpart off the formula along the
+builder's own output on the metavariables, calls build_axiom on those
+bindings, and accepts exactly when that returns the formula itself, which
+interning makes one identity test.  The table's order is match_axiom's
 first-match order, so ~B{}true is NoneToBlame, not BlamelessnessOfTruth.
 """
 
@@ -39,6 +42,7 @@ from .syntax import (
     Knows,
     Neg,
     TOP,
+    Var,
     atom_list,
     conj,
     disj,
@@ -121,68 +125,49 @@ def build_axiom(name, phi=None, psi=None, c=frozenset(), d=frozenset()) -> Formu
     return builder(phi, psi, c, d)
 
 
-class _Meta:
-    """A metavariable of a schema template, or the union C | D of two.
-
-    A placeholder counts as one node in the size and depth of a template.
-    """
-
-    size = depth = 1
-
-    def __init__(self, *names):
-        self.names = names
-
-    def __or__(self, other):
-        return _Meta(*self.names, *other.names)
-
-
-# each builder applied to placeholders once gives its schema's template
+# each builder applied once to the metavariables gives its schema's template:
+# phi and psi are variables of those names, C and D the coalitions {C} and
+# {D}, so C | D is {C, D}
 _TEMPLATES = {
-    name: builder(_Meta("phi"), _Meta("psi"), _Meta("C"), _Meta("D"))
+    name: builder(Var("phi"), Var("psi"), frozenset({"C"}), frozenset({"D"}))
     for name, (builder, _) in SCHEMAS.items()
 }
 
 
-def _unify(template, f, env) -> bool:
-    """Match f against template, binding metavariables in env.
-
-    Equal formulas are one node, so phi and psi match by identity;
-    coalitions are frozensets and match by value.
-    """
-    if isinstance(template, _Meta):
-        return env.setdefault(template.names[0], f) is f
-    if type(template) is not type(f):
-        return False
+def _bind(template, f, env) -> bool:
+    """Walk f along template, binding each metavariable to its first
+    counterpart in f; False if f lacks the template's shape."""
     match template:
+        case Var("phi" | "psi" as name):
+            env.setdefault(name, f)
+        case _ if type(f) is not type(template):
+            return False
         case Neg(inner):
-            return _unify(inner, f.inner, env)
+            return _bind(inner, f.inner, env)
         case Implies(lhs, rhs):
-            return _unify(lhs, f.lhs, env) and _unify(rhs, f.rhs, env)
+            return _bind(lhs, f.lhs, env) and _bind(rhs, f.rhs, env)
         case Knows(c, inner) | Blames(c, inner):
-            return _same_coalition(c, f.coalition, env) and _unify(inner, f.inner, env)
-    return template is f  # a variable
-
-
-def _same_coalition(c, coalition, env) -> bool:
-    """Match a coalition against a template's literal, C, D or C | D."""
-    if not isinstance(c, _Meta):
-        return c == coalition
-    if len(c.names) > 1:  # a union; its parts are bound earlier
-        return coalition == frozenset().union(*(env[n] for n in c.names))
-    return env.setdefault(c.names[0], coalition) == coalition
+            if len(c) == 1:  # C or D; the rebuild checks {} and C | D
+                env.setdefault(next(iter(c)), f.coalition)
+            return _bind(inner, f.inner, env)
+    return True  # a metavariable, or a variable of TOP, which the rebuild checks
 
 
 def match_schema(name: str, f: Formula):
-    """Bindings if f instantiates the named schema (side conditions checked)."""
+    """Bindings if f instantiates the named schema, that is, if the builder
+    given the bindings read off f (side condition checked) returns f."""
     if name not in SCHEMAS:
         raise ValueError(f"unknown axiom name: {name}")
     env = {}
-    if not _unify(_TEMPLATES[name], f, env):
+    if not _bind(_TEMPLATES[name], f, env):
         return None
-    side = SCHEMAS[name][1]
-    if side is not None and not side[0](env["C"], env["D"]):
+    try:
+        rebuilt = build_axiom(
+            name, env.get("phi"), env.get("psi"), env.get("C", ()), env.get("D", ())
+        )
+    except ValueError:  # a failed side condition, or a rebuild too deep
         return None
-    return env
+    return env if rebuilt is f else None
 
 
 def match_axiom(f: Formula):
@@ -275,6 +260,7 @@ def check_proof(script: ProofScript) -> CheckReport:
 
     A line depends on a premise iff it is a premise or any line it
     references does; necessitation is rejected on premise-dependent lines.
+    A line reference must be an int (not a bool) naming an earlier line.
     """
     depends = []
 
@@ -303,7 +289,7 @@ def check_proof(script: ProofScript) -> CheckReport:
                     return invalid(k, "formula is not among the premises")
                 dep = True
             case MP(i, j):
-                if not (1 <= i < k and 1 <= j < k):
+                if not (type(i) is type(j) is int and 1 <= i < k and 1 <= j < k):
                     return invalid(k, "modus ponens must reference earlier lines")
                 wanted = Implies(script.lines[i - 1].formula, line.formula)
                 if script.lines[j - 1].formula != wanted:
@@ -312,8 +298,10 @@ def check_proof(script: ProofScript) -> CheckReport:
                     )
                 dep = depends[i - 1] or depends[j - 1]
             case Nec(i, c):
-                if not 1 <= i < k:
+                if type(i) is not int or not 1 <= i < k:
                     return invalid(k, "necessitation must reference an earlier line")
+                if not isinstance(c, frozenset):
+                    return invalid(k, "necessitation coalition must be a frozenset of agent names")
                 if line.formula != Knows(c, script.lines[i - 1].formula):
                     return invalid(
                         k, f"formula is not K{format_coalition(c)} of line {i}"
@@ -335,9 +323,9 @@ def check_proof(script: ProofScript) -> CheckReport:
 def deduction_transform(script: ProofScript, phi: Formula) -> ProofScript:
     """Discharge the premise phi, rebuilding the proof to conclude phi -> goal.
 
-    Works line by line: premise-independent lines are kept and weakened
-    with the tautology f -> (phi -> f); the phi line becomes the tautology
-    phi -> phi; other premises are weakened the same way; modus ponens
+    Works line by line: the phi line becomes the tautology phi -> phi;
+    other premises and premise-independent lines are restated and weakened
+    with the tautology f -> (phi -> f); premise-dependent modus ponens
     steps are replayed through the distribution tautology
     (phi -> a) -> ((phi -> (a -> b)) -> (phi -> b)).  Output length is at
     most three times the input length.
@@ -352,38 +340,28 @@ def deduction_transform(script: ProofScript, phi: Formula) -> ProofScript:
 
     out = []
     imp_of = {}  # input line index -> output index proving (phi -> that formula)
-    kept_of = {}  # input line index -> output index of its kept copy
+    kept_of = {}  # input line index -> output index of its restated copy
 
     def emit(formula, justification):
         out.append(ProofLine(len(out) + 1, formula, justification))
         return len(out)
 
     for k, line in enumerate(script.lines, start=1):
-        psi = line.formula
+        psi, just = line.formula, line.justification
         target = Implies(phi, psi)
-        if not report.depends_on_premise[k - 1]:
-            match line.justification:
-                case MP(i, j):
-                    kept_just = MP(kept_of[i], kept_of[j])
-                case Nec(i, c):
-                    kept_just = Nec(kept_of[i], c)
-                case other:
-                    kept_just = other
-            kept = emit(psi, kept_just)
-            kept_of[k] = kept
-            weaken = emit(Implies(psi, target), Taut())
-            imp_of[k] = emit(target, MP(kept, weaken))
-        elif isinstance(line.justification, Premise) and psi == phi:
+        if isinstance(just, Premise) and psi == phi:
             imp_of[k] = emit(Implies(phi, phi), Taut())
-        elif isinstance(line.justification, Premise):
-            restated = emit(psi, Premise())
+        elif isinstance(just, Premise) or not report.depends_on_premise[k - 1]:
+            match just:
+                case MP(i, j):
+                    just = MP(kept_of[i], kept_of[j])
+                case Nec(i, c):
+                    just = Nec(kept_of[i], c)
+            kept_of[k] = emit(psi, just)
             weaken = emit(Implies(psi, target), Taut())
-            imp_of[k] = emit(target, MP(restated, weaken))
-        else:
-            mp = line.justification
-            assert isinstance(mp, MP), "premise-dependent lines are premises or MP"
-            a = imp_of[mp.i]
-            b = imp_of[mp.j]
+            imp_of[k] = emit(target, MP(kept_of[k], weaken))
+        else:  # modus ponens on a premise-dependent line
+            a, b = imp_of[just.i], imp_of[just.j]
             dist = emit(
                 Implies(out[a - 1].formula, Implies(out[b - 1].formula, target)),
                 Taut(),

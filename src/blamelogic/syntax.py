@@ -149,6 +149,8 @@ class Var(_Node):
         ref = _NODES.get(key)
         node = ref and ref()
         if node is None:
+            if not isinstance(name, str):
+                raise TypeError(f"variable name must be a str, not {name!r}")
             node = _new_node(cls)
             _set_name(node, name)
             node = _intern(key, node, 1, 1)
@@ -186,7 +188,11 @@ class Implies(_Node):
 
 
 class _Modal(_Node):
-    """K{C}inner or B{C}inner; the coalition is a frozenset of agent names."""
+    """K{C}inner or B{C}inner; the coalition is a frozenset of agent names.
+
+    A coalition of another type is a TypeError, as is a Var name that is
+    not a str; like the depth bound, both are checked only for a new node.
+    """
 
     __slots__ = __match_args__ = ("coalition", "inner")
 
@@ -195,6 +201,8 @@ class _Modal(_Node):
         ref = _NODES.get(key)
         node = ref and ref()
         if node is None:
+            if not isinstance(coalition, frozenset):
+                raise TypeError(f"coalition must be a frozenset, not {coalition!r}")
             node = _new_node(cls)
             _set_coalition(node, coalition)
             _set_modal_inner(node, inner)

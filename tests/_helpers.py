@@ -101,20 +101,21 @@ TAUT_TEMPLATES = (
 )
 
 
-def rand_coalition(rng):
-    return frozenset(x for x in AGENTS if rng.random() < 0.5)
+def rand_coalition(rng, agents=AGENTS):
+    return frozenset(x for x in agents if rng.random() < 0.5)
 
 
-def rand_formula(rng, depth):
+def rand_formula(rng, depth, vocab=(VARS, AGENTS)):
+    """A random formula over vocab, a pair (variable names, agent names)."""
     if depth <= 0 or rng.random() < 0.3:
-        return Var(rng.choice(VARS))
+        return Var(rng.choice(vocab[0]))
     roll = rng.random()
     if roll < 0.35:
-        return Neg(rand_formula(rng, depth - 1))
+        return Neg(rand_formula(rng, depth - 1, vocab))
     if roll < 0.7:
-        return Implies(rand_formula(rng, depth - 1), rand_formula(rng, depth - 1))
+        return Implies(rand_formula(rng, depth - 1, vocab), rand_formula(rng, depth - 1, vocab))
     node = Knows if roll < 0.85 else Blames
-    return node(rand_coalition(rng), rand_formula(rng, depth - 1))
+    return node(rand_coalition(rng, vocab[1]), rand_formula(rng, depth - 1, vocab))
 
 
 def rand_axiom_line(rng):

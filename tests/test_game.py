@@ -218,6 +218,14 @@ def test_building_a_bad_game_raises_nothing():
         assert expected in violations
 
 
+@pytest.mark.parametrize("profile", [None, ["d"]])
+def test_a_built_play_whose_profile_is_not_a_mapping_is_a_type_error(profile):
+    good = {"a": "d"}
+    plays = tuple(Play("s", prof, o) for prof in (good, profile) for o in ("o", "p"))
+    with pytest.raises(TypeError, match="^play 2: profile is not a mapping"):
+        Game(("a",), ("s",), {}, ("d",), ("o", "p"), plays, {})
+
+
 def _coalitions(agents):
     out = [frozenset()]
     for agent in agents:

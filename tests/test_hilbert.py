@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import make_rng, negate_line, rand_coalition, rand_formula
+from _helpers import AGENTS, VARS, make_rng, negate_line, rand_coalition, rand_formula
 from blamelogic import asset_path
 from blamelogic.errors import AtomBudgetExceededError, ParseError
 from blamelogic.hilbert import (
@@ -26,6 +26,7 @@ from blamelogic.hilbert import (
     parse_proof_file,
 )
 from blamelogic.syntax import (
+    TOP,
     Blames,
     Implies,
     Knows,
@@ -158,8 +159,10 @@ def _mutants(f, rng):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_schema_table_builds_what_it_matches(seed):
     rng = make_rng(seed)
-    phi, psi = rand_formula(rng, 2), rand_formula(rng, 2)
-    c, extra = rand_coalition(rng), rand_coalition(rng)
+    # some draws use the names the templates give the metavariables
+    vocab = (("phi", "psi") if seed % 2 else VARS, ("C", "D") if seed % 3 == 0 else AGENTS)
+    phi, psi = rand_formula(rng, 2, vocab), rand_formula(rng, 2, vocab)
+    c, extra = rand_coalition(rng, vocab[1]), rand_coalition(rng, vocab[1])
     rebuilt = 0
     for name in AXIOM_NAMES:
         # bindings meeting the side condition: C subset of D for
@@ -179,6 +182,17 @@ def test_schema_table_builds_what_it_matches(seed):
                     assert build_axiom(other, **kwargs) == f, (other, f)
                     rebuilt += 1
     assert rebuilt > len(AXIOM_NAMES)
+
+
+def test_a_rebuild_deeper_than_the_node_bound_is_no_match():
+    x = p
+    for _ in range(296):
+        x = Neg(x)
+    f = Implies(Blames(a, x), Knows(a, Implies(q, Blames(a, q))))
+    assert (x.depth, f.depth) == (297, 299)
+    # binds phi to x; the rebuild's K{a}(x -> B{a}x) would be 301 levels deep
+    assert match_schema("KnowledgeOfFairness", f) is None
+    assert match_axiom(f) is None
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +331,40 @@ def test_premise_list_order_is_irrelevant():
     one = check_proof(ProofScript((p, Implies(p, q)), lines, q))
     two = check_proof(ProofScript((Implies(p, q), p), lines, q))
     assert one.valid and two.valid
+
+
+MP_REF = "modus ponens must reference earlier lines"
+NEC_REF = "necessitation must reference an earlier line"
+NEC_COALITION = "necessitation coalition must be a frozenset of agent names"
+
+
+@pytest.mark.parametrize(
+    "justification, reason",
+    [
+        (MP(1, 2), None),
+        (MP("1", 2), MP_REF),
+        (MP(None, 2), MP_REF),
+        (MP(True, 2), MP_REF),
+        (MP(1, 2.0), MP_REF),
+        (Nec(1, a), None),
+        (Nec("1", a), NEC_REF),
+        (Nec(True, a), NEC_REF),
+        (Nec(1, {"a"}), NEC_COALITION),
+        (Nec(1, ("a",)), NEC_COALITION),
+        (Nec(1, "a"), NEC_COALITION),
+    ],
+)
+def test_hand_built_justifications_are_checked_not_raised(justification, reason):
+    # line 3 is q -> q by modus ponens from lines 1 and 2, or K{a} of line 1
+    formula = Implies(q, q) if isinstance(justification, MP) else Knows(a, TOP)
+    lines = (
+        ProofLine(1, TOP, Taut()),
+        ProofLine(2, Implies(TOP, Implies(q, q)), Taut()),
+        ProofLine(3, formula, justification),
+    )
+    report = check_proof(ProofScript((), lines, formula))
+    assert (report.valid, report.reason) == (reason is None, reason)
+    assert report.error_line == (None if reason is None else 3)
 
 
 def test_mp_shape_checked():

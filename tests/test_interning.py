@@ -107,6 +107,25 @@ def test_constructors_take_positional_and_keyword_fields():
     assert Implies(p, q) is not Implies(q, p)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Var(1),
+        lambda: Var(True),
+        lambda: Var(None),
+        lambda: Knows(("a",), p),
+        lambda: Knows("ab", p),
+        lambda: Knows({"a"}, p),
+        lambda: Blames(None, p),
+        lambda: Blames(["a"], p),
+    ],
+)
+def test_constructors_refuse_fields_that_would_not_be_canonical(build):
+    # a tuple or string coalition would print as K{a} yet be another node
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_repr_names_every_field():
     f = Knows(a, Implies(p, Neg(Blames(frozenset(), q))))
     assert repr(f) == (
