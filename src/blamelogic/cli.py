@@ -150,7 +150,7 @@ def _cmd_sweep(args):
     ]
     counts = ", ".join(f"{name}={n}" for name, n in sorted(report.counts.items()))
     lines.append(f"checked: {counts}")
-    doc = {"verdict": verdict, "violations": violations, "data": {"counts": report.counts}}
+    doc = {"verdict": verdict, "violations": violations, "data": {"counts": dict(report.counts)}}
     return doc, 0 if report.ok else 1, "\n".join(lines)
 
 

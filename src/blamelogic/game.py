@@ -57,7 +57,13 @@ class Strategy:
     """Action choice for each member of a coalition."""
 
     coalition: frozenset
-    choice: dict  # agent name -> action name, domain == coalition
+    choice: dict  # agent name -> action name, domain == coalition; read-only copy
+
+    def __post_init__(self):
+        object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
+
+    def __hash__(self):  # agrees with ==, which compares the choice by its items
+        return hash((self.coalition, frozenset(self.choice.items())))
 
     def describe(self) -> str:
         inner = ", ".join(f"{a}: {self.choice[a]}" for a in sorted(self.coalition))

@@ -9,13 +9,18 @@ violation witness that can be replayed.  Countermodel search enumerates tiny gam
 shapes exhaustively (smallest first) and then falls back to seeded random
 games until the candidate budget runs out.
 
-A random game is drawn as small ints (_draw) and then built (_build);
-gen_game does both, and the search only draws.  The search works frame by
-frame: a frame is a game without its valuation, and each distinct frame gets
-one valuation-free Game and its play masks for the call.  Each distinct
-candidate (frame, one mask per variable) is evaluated once against them;
-a duplicate still counts against the budget.  Only the countermodel
-returned is built as a Game of its own.
+A random game is drawn as small ints, frame then valuation (_draw_frame,
+_draw_valuation), and then built (_build); gen_game does all three, and the
+search only draws.  Integer draws read getrandbits through _below, CPython's
+own _randbelow loop, so they take the values randrange, choice and randint
+would.  The search works frame by frame: a frame is a game without its
+valuation, and each distinct frame gets one valuation-free Game and its
+play masks for the call.  Each distinct candidate (frame, one mask per
+variable) is evaluated once against them; a duplicate still counts against
+the budget.  A frame whose every valuation has been checked is exhausted: a
+later random candidate with that frame counts against the budget without
+drawing its valuation.  Only the countermodel returned is built as a Game
+of its own.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import islice, product
+from types import MappingProxyType
 
 from . import semantics
 from .game import Game, Play, _indices
@@ -87,14 +93,25 @@ def derive_seed(seed: int, *salts: int) -> int:
     return value
 
 
-def _draw_partition(rng, n_states):
+def _below(bits, n):
+    """Random._randbelow_with_getrandbits(n), n >= 1, of the generator whose
+    getrandbits is bits (one loop in CPython 3.10-3.13): randrange(n) and
+    choice(range(n)) draw this, and randint(1, n) draws 1 + this."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _draw_partition(bits, n_states):
     """Block label of each state in a random partition, numbered by first
     appearance, so that equal partitions get equal labels."""
     if n_states == 1:
         return (0,)
-    count = rng.randint(1, n_states)
+    count = 1 + _below(bits, n_states)
     first = {}
-    return tuple(first.setdefault(rng.randrange(count), len(first)) for _ in range(n_states))
+    return tuple(first.setdefault(_below(bits, count), len(first)) for _ in range(n_states))
 
 
 def _profiles(agents, actions):
@@ -106,27 +123,31 @@ def _profiles(agents, actions):
     return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
 
 
-def _draw(rng, n_agents, shape, n_vars, branching):
-    """The draws of one random game as small ints: (frame, valuation masks).
+def _draw_frame(rng, n_agents, shape, branching):
+    """The frame of one random game as small ints.
 
     shape is (states, actions, outcomes).  The frame is (shape, each
     agent's block labels, each play's (state, profile, outcome) ids), where
-    profile ids count in _profiles order; bit i of a valuation mask is play i.
+    profile ids count in _profiles order.
     """
+    bits, random = rng.getrandbits, rng.random
     n_states, n_actions, n_outcomes = shape
-    outcomes = range(n_outcomes)
-    parts = tuple(_draw_partition(rng, n_states) for _ in range(n_agents))
+    parts = tuple(_draw_partition(bits, n_states) for _ in range(n_agents))
     plays = []
     for state in range(n_states):
         for profile in range(n_actions**n_agents):
-            first = rng.choice(outcomes)
+            first = _below(bits, n_outcomes)
             plays.append((state, profile, first))
-            for extra in outcomes:
-                if extra != first and rng.random() < branching:
+            for extra in range(n_outcomes):
+                if extra != first and random() < branching:
                     plays.append((state, profile, extra))
-    n = len(plays)
-    masks = tuple(sum(1 << i for i in range(n) if rng.random() < 0.5) for _ in range(n_vars))
-    return (shape, parts, tuple(plays)), masks
+    return shape, parts, tuple(plays)
+
+
+def _draw_valuation(rng, n_plays, n_vars):
+    """One mask per variable, drawn after the frame; bit i is play i."""
+    random = rng.random
+    return tuple(sum(1 << i for i in range(n_plays) if random() < 0.5) for _ in range(n_vars))
 
 
 def _build(agents, frame, valuation):
@@ -151,9 +172,9 @@ def gen_game(params: GenParams) -> Game:
     """Random game honoring the size bounds; totality holds by construction."""
     agents = AGENT_POOL[: params.num_agents]
     shape = (params.num_states, params.num_actions, params.num_outcomes)
-    frame, masks = _draw(
-        random.Random(params.seed), len(agents), shape, params.num_variables, params.branching
-    )
+    rng = random.Random(params.seed)
+    frame = _draw_frame(rng, len(agents), shape, params.branching)
+    masks = _draw_valuation(rng, len(frame[2]), params.num_variables)
     variables = (f"p{i}" for i in range(params.num_variables))
     return _build(agents, frame, dict(zip(variables, masks)))
 
@@ -207,7 +228,7 @@ class SweepViolation:
 @dataclass(frozen=True)
 class SweepReport:
     trials: int
-    counts: dict
+    counts: dict  # read-only: schema name -> (instance, play) pairs checked
     violations: tuple
 
     @property
@@ -283,7 +304,7 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
                     violations.append(
                         SweepViolation("Necessitation", trial, game, idx, lifted)
                     )
-    return SweepReport(trials, counts, tuple(violations))
+    return SweepReport(trials, MappingProxyType(counts), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +335,16 @@ _TINY_SHAPES = (
 )
 
 
-def _candidates(n_agents, n_vars, budget):
+def _candidates(n_agents, n_vars, budget, exhausted=frozenset()):
     """(frame, valuation masks) of each candidate, in search order: the tiny
-    frames with every valuation, then one seeded random game per draw."""
+    frames with every valuation, then one seeded random game per draw.
+
+    Random candidate k is drawn from one generator reseeded with
+    derive_seed(budget.seed, 7, k), so skipping the rest of its draws
+    changes no later candidate.  A random candidate whose frame is in
+    exhausted (read as each frame is drawn) comes as (frame, None), with
+    no valuation drawn.
+    """
     for shape in _TINY_SHAPES:
         n_states, n_actions, n_outcomes = shape
         pairs = [(s, p) for s in range(n_states) for p in range(n_actions**n_agents)]
@@ -330,14 +358,20 @@ def _candidates(n_agents, n_vars, budget):
                 for masks in product(range(1 << len(plays)), repeat=n_vars):
                     yield frame, masks
     num_states, num_actions, num_outcomes, branching = _RANDOM_SHAPE
+    rng = random.Random()
+    bits = rng.getrandbits
     for k in range(budget.max_candidates):
-        rng = random.Random(derive_seed(budget.seed, 7, k))
+        rng.seed(derive_seed(budget.seed, 7, k))  # the state of Random(that seed)
         shape = (
-            1 + rng.randrange(num_states),
-            1 + rng.randrange(num_actions),
-            1 + rng.randrange(num_outcomes),
+            1 + _below(bits, num_states),
+            1 + _below(bits, num_actions),
+            1 + _below(bits, num_outcomes),
         )
-        yield _draw(rng, n_agents, shape, n_vars, branching)
+        frame = _draw_frame(rng, n_agents, shape, branching)
+        if frame in exhausted:
+            yield frame, None
+        else:
+            yield frame, _draw_valuation(rng, len(frame[2]), n_vars)
 
 
 def find_countermodel(formula: Formula, budget: SearchBudget = None):
@@ -354,12 +388,17 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
     atoms = tuple(map(Var, variables))
     frames = {}  # frame -> (its number, its Game with no valuation, that Game's masks)
     checked = set()  # (frame number, valuation) of candidates that hold everywhere
-    stream = _candidates(len(agents), len(variables), budget)
+    unchecked = []  # per frame number, how many of its valuations are not in checked
+    exhausted = set()  # frames with none unchecked
+    stream = _candidates(len(agents), len(variables), budget, exhausted)
     for frame, valuation in islice(stream, budget.max_candidates):
+        if valuation is None:  # a duplicate of a checked candidate
+            continue
         entry = frames.get(frame)
         if entry is None:
             game = _build(agents, frame, {})
             entry = frames[frame] = (len(frames), game, game._masks)
+            unchecked.append(1 << (len(frame[2]) * len(variables)))
         number, game, masks = entry
         key = (number, valuation)
         if key in checked:
@@ -370,4 +409,7 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
         if missing:
             countermodel = _build(agents, frame, dict(zip(variables, valuation)))
             return countermodel, (missing & -missing).bit_length() - 1
+        unchecked[number] -= 1
+        if not unchecked[number]:
+            exhausted.add(frame)
     return None

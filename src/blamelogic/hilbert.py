@@ -300,7 +300,7 @@ def check_proof(script: ProofScript) -> CheckReport:
             case Nec(i, c):
                 if type(i) is not int or not 1 <= i < k:
                     return invalid(k, "necessitation must reference an earlier line")
-                if not isinstance(c, frozenset):
+                if not isinstance(c, frozenset) or not all(isinstance(agent, str) for agent in c):
                     return invalid(k, "necessitation coalition must be a frozenset of agent names")
                 if line.formula != Knows(c, script.lines[i - 1].formula):
                     return invalid(

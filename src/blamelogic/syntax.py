@@ -190,8 +190,9 @@ class Implies(_Node):
 class _Modal(_Node):
     """K{C}inner or B{C}inner; the coalition is a frozenset of agent names.
 
-    A coalition of another type is a TypeError, as is a Var name that is
-    not a str; like the depth bound, both are checked only for a new node.
+    A coalition of another type or with a member that is not a str is a
+    TypeError, as is a Var name that is not a str; like the depth bound,
+    these are checked only for a new node.
     """
 
     __slots__ = __match_args__ = ("coalition", "inner")
@@ -203,6 +204,8 @@ class _Modal(_Node):
         if node is None:
             if not isinstance(coalition, frozenset):
                 raise TypeError(f"coalition must be a frozenset, not {coalition!r}")
+            if not all(isinstance(agent, str) for agent in coalition):
+                raise TypeError(f"coalition members must be str agent names: {coalition!r}")
             node = _new_node(cls)
             _set_coalition(node, coalition)
             _set_modal_inner(node, inner)

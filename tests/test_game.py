@@ -16,6 +16,7 @@ from blamelogic.game import (
     Game,
     game_from_document,
     Play,
+    Strategy,
     dump_game,
     game_to_document,
     indistinguishable,
@@ -551,6 +552,15 @@ def test_built_games_get_read_only_copies_of_their_mappings():
         game.indist["c"] = ()
 
 
+def test_strategies_get_a_read_only_copy_of_their_choice():
+    choice = {"c": "speed-up"}
+    strategy = Strategy(frozenset({"c"}), choice)
+    choice["c"] = "slow-down"
+    assert strategy.choice == {"c": "speed-up"}
+    with pytest.raises(TypeError):
+        strategy.choice["c"] = "slow-down"
+
+
 def test_loaded_plays_share_one_profile_per_distinct_profile():
     g = load_game(json.dumps(_golden_doc()))
     profiles = {id(p.profile) for p in g.plays}
@@ -614,3 +624,11 @@ def test_equal_built_and_loaded_games_hash_equal(truck_manual):
     for seed in range(30):
         g = gen_game(GenParams(seed=seed))
         assert hash(load_game(dump_game(g))) == hash(g)
+
+
+def test_equal_strategies_hash_equal():
+    a = Strategy(frozenset({"a", "b"}), {"a": "d", "b": "e"})
+    b = Strategy(frozenset({"b", "a"}), MappingProxyType({"b": "e", "a": "d"}))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, Strategy(frozenset({"a", "b"}), {"a": "d", "b": "f"})}) == 2

@@ -115,6 +115,12 @@ def test_sweep_zero_trials_is_empty():
     assert all(count == 0 for count in report.counts.values())
 
 
+def test_sweep_counts_are_read_only():
+    report = soundness_sweep(GenParams(seed=1), 1)
+    with pytest.raises(TypeError):
+        report.counts["Truth-K"] = 0
+
+
 def test_sweep_counts_every_schema_and_finds_no_violation():
     report = soundness_sweep(GenParams(seed=11), 60)
     assert report.ok
@@ -297,3 +303,60 @@ def test_candidates_build_the_reference_games_in_order(agents, variables, tiny, 
     expected = reference_candidates(agents, variables, budget)
     for (frame, masks), game in islice(zip(drawn, expected), budget.max_candidates):
         assert generator._build(agents, frame, dict(zip(variables, masks))) == game
+
+
+def test_below_takes_the_draws_of_randrange_choice_and_randint():
+    # the search and gen_game read getrandbits through _below; a CPython whose
+    # randrange, choice or randint draw otherwise would change every game
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 10):
+            assert generator._below(ours.getrandbits, n) == theirs.randrange(n)
+            assert generator._below(ours.getrandbits, n) == theirs.choice(range(n))
+            assert 1 + generator._below(ours.getrandbits, n) == theirs.randint(1, n)
+        assert ours.getstate() == theirs.getstate(), seed
+
+
+def test_exhausted_frames_skip_only_their_valuation_draws(monkeypatch):
+    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
+    budget = SearchBudget(300, 5)
+    full = list(generator._candidates(2, 1, budget))
+    frames = [frame for frame, _ in full]
+    repeated = {frame for frame in frames if frames.count(frame) > 1}
+    assert repeated
+    skipped = list(generator._candidates(2, 1, budget, repeated))
+    assert skipped == [
+        (frame, None if frame in repeated else masks) for frame, masks in full
+    ]
+
+
+def test_truth_search_draws_valuations_only_for_frames_not_exhausted(monkeypatch):
+    # Truth-K with one agent and one variable exhausts the default budget:
+    # 610 tiny games check every valuation of their frames, and of the 4390
+    # random candidates, 3812 have a frame whose valuations were all checked
+    drawn = []
+    draw_valuation = generator._draw_valuation
+
+    def counted(*args):
+        drawn.append(args)
+        return draw_valuation(*args)
+
+    monkeypatch.setattr(generator, "_draw_valuation", counted)
+    formula = parse_formula("K{a}p -> p")
+    budget = SearchBudget()
+    assert find_countermodel(formula, budget) is None
+    assert len(drawn) == 578
+    assert reference_find_countermodel(formula, budget) is None
+
+
+def test_random_phase_with_repeated_frames_returns_what_a_game_per_candidate_search_returns(
+    monkeypatch,
+):
+    # a one-play frame has two valuations and comes about once in eight
+    # draws, so these countermodels often come after its other valuation
+    # was checked: a frame may be skipped only once every valuation has been
+    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
+    monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
+    for text in ("~K{a}p", "~K{}p"):
+        for seed in range(40):
+            _assert_same_search(parse_formula(text), SearchBudget(300, seed))

@@ -352,6 +352,7 @@ NEC_COALITION = "necessitation coalition must be a frozenset of agent names"
         (Nec(1, {"a"}), NEC_COALITION),
         (Nec(1, ("a",)), NEC_COALITION),
         (Nec(1, "a"), NEC_COALITION),
+        (Nec(1, frozenset({1})), NEC_COALITION),
     ],
 )
 def test_hand_built_justifications_are_checked_not_raised(justification, reason):

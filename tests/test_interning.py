@@ -118,10 +118,12 @@ def test_constructors_take_positional_and_keyword_fields():
         lambda: Knows({"a"}, p),
         lambda: Blames(None, p),
         lambda: Blames(["a"], p),
+        lambda: Knows(frozenset({1}), p),
     ],
 )
 def test_constructors_refuse_fields_that_would_not_be_canonical(build):
-    # a tuple or string coalition would print as K{a} yet be another node
+    # a tuple or string coalition would print as K{a} yet be another node,
+    # and a coalition member that is not a str would not print at all
     with pytest.raises(TypeError):
         build()
 
