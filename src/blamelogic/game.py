@@ -1,21 +1,28 @@
-"""Finite strategic games with imperfect information: model, index, loader, validator.
+"""Finite strategic games with imperfect information: model, loader, index, validator.
 
 A game bundles initial states, one indistinguishability partition per agent,
 actions, outcomes, a set of plays (state, complete action profile, outcome),
 and a valuation from propositional variables to sets of play indices.
 Totality is required: every (state, profile) pair must appear in at least
-one play.  Games are immutable after construction: `indist` and
-`valuation` are read-only mappings, and every operation here is a pure
-read.  The loader gives all plays with equal profiles one shared,
-read-only profile; plays built in code keep the profile object they were
-given.
+one play.  Games are immutable after construction: a `Play` is a tuple,
+`indist` and `valuation` are read-only mappings, and every operation here
+is a pure read.
 
-This module owns each game's index (`_Masks`): its play sets as bitmasks,
-built once by `Game.__post_init__` and read by the validator, the semantics
-module and the countermodel search.  Its one pass over the plays groups them
-by profile object, so per-profile work is done once per distinct profile.
-A state's key under a coalition is its tuple of first-block indices under
-the members (`_state_keys`); C-indistinguishable states have equal keys.
+The loader reads each JSON play once: it checks the three fields, gives
+all plays with equal profile entries one shared, read-only profile and
+builds the plays in C.  Plays built in code keep the profiles they were given.
+
+Each game's index (`_Masks`), built by `Game.__post_init__` and read by the
+validator, the semantics module and the countermodel search, holds the
+play sets as bitmasks and groups the plays by profile object, so
+per-profile work is done once per distinct profile.  A state's key under a
+coalition is its tuple of first-block indices under the members
+(`_state_keys`); C-indistinguishable states have equal keys.
+
+The validator counts in C: used states and outcomes must be declared, each
+profile complete over declared actions, the (state, profile, outcome) keys
+distinct and the (state, profile) pairs |states|*|actions|^|agents| in
+number.  Only when a count is off does it walk the plays (`_play_faults`).
 
 The on-disk format is a single JSON document; see load_game / dump_game.
 Agents absent from the "indist" map get the identity partition (perfect
@@ -25,7 +32,7 @@ information by default).
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from types import MappingProxyType
@@ -40,15 +47,22 @@ from .errors import (
 IDENT_KEYS = ("agents", "states", "actions", "outcomes")
 
 
-@dataclass(frozen=True, slots=True)
-class Play:
-    state: str
-    # agent name -> action name, total over the game's agents; in a loaded
-    # game, one read-only mapping shared by all plays with that profile
-    profile: dict
-    outcome: str
+class Play(namedtuple("Play", "state profile outcome")):
+    """A read-only (state, profile, outcome) tuple, equal only to plays.
 
-    def __hash__(self):  # agrees with ==, which compares the profile by its items
+    profile maps each of the game's agents to an action; in a loaded game it
+    is one read-only mapping shared by all plays with that profile.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):  # agrees with ==
         return hash((self.state, frozenset(self.profile.items()), self.outcome))
 
 
@@ -68,6 +82,11 @@ class Strategy:
     def describe(self) -> str:
         inner = ", ".join(f"{a}: {self.choice[a]}" for a in sorted(self.coalition))
         return "{" + inner + "}"
+
+
+def _plays(triples) -> tuple:
+    """Plays of (state, profile, outcome) triples, built in C."""
+    return tuple(map(tuple.__new__, repeat(Play), triples))
 
 
 @dataclass(frozen=True)
@@ -117,9 +136,8 @@ class _Masks:
         self.group_of = group_of = []
         numbers = {}  # id(profile) -> its group's number
         bit = 1
-        for play in game.plays:
-            state[play.state] = state.get(play.state, 0) | bit
-            profile = play.profile
+        for s, profile, _ in game.plays:
+            state[s] = state.get(s, 0) | bit
             number = numbers.get(id(profile))
             if number is None:
                 number = numbers[id(profile)] = len(groups)
@@ -257,12 +275,49 @@ def validate_game(game: Game) -> ValidationReport:
     agents = set(game.agents)
     actions = set(game.actions)
     outcomes = set(game.outcomes)
-    facts = [_profile_facts(p, game.agents, agents, actions) for p, _ in game._masks.groups]
+    masks = game._masks
+    facts = [_profile_facts(p, game.agents, agents, actions) for p, _ in masks.groups]
+    used_states, _, used_outcomes = zip(*game.plays) if game.plays else ((),) * 3
+    # counts taken in C; only when one is off are the plays walked
+    ids = {}  # complete profile over declared actions, in agent order -> its id
+    id_of = [ids.setdefault(key, len(ids)) if unknown == () else None for key, _, unknown in facts]
+    used_profiles = list(map(id_of.__getitem__, masks.group_of))
+    if not (
+        None not in id_of
+        and states.issuperset(used_states)
+        and outcomes.issuperset(used_outcomes)
+        and len(set(zip(used_states, used_profiles, used_outcomes))) == len(game.plays)
+        and len(set(zip(used_states, used_profiles)))
+        == len(states) * len(actions) ** len(game.agents)
+    ):
+        bad += _play_faults(game, facts, states, actions, outcomes)
+
+    n = len(game.plays)
+    for var, indices in game.valuation.items():
+        # the index's mask has a bit for each int index in range; when it
+        # has one per index, every index is fine; else name each bad one
+        if masks.var[var].bit_count() == len(indices):
+            continue
+        for idx in indices:
+            if not (isinstance(idx, int) and 0 <= idx < n):
+                bad.append(f"valuation index out of range: {var} -> {idx}")
+
+    played = set(used_outcomes)
+    for outcome in game.outcomes:
+        if outcome not in played:
+            warn.append(f"outcome {outcome} appears in no play")
+
+    return ValidationReport(tuple(bad), tuple(warn))
+
+
+def _play_faults(game: Game, facts, states, actions, outcomes) -> list:
+    """Each play's faults in play order, then each state's totality gap."""
+    bad = []
     seen_plays = set()
     covered = set()  # (state, profile in agent order) over declared actions
     for i, (play, number) in enumerate(zip(game.plays, game._masks.group_of)):
         profile_key, in_order, unknown = facts[number]
-        state, outcome = play.state, play.outcome
+        state, _, outcome = play
         if in_order is not None:
             covered.add((state, in_order))
         if state not in states:
@@ -289,24 +344,7 @@ def validate_game(game: Game) -> ValidationReport:
             shown = {a: act for a, act in zip(game.agents, first)}
             more = f" ({missing} profiles missing)" if missing > 1 else ""
             bad.append(f"totality violated at ({state}, {shown}){more}")
-
-    n = len(game.plays)
-    for var, indices in game.valuation.items():
-        # one pass in C when every index is fine; else name each bad one
-        if all(map(isinstance, indices, repeat(int))) and (
-            not indices or (0 <= min(indices) and max(indices) < n)
-        ):
-            continue
-        for idx in indices:
-            if not (isinstance(idx, int) and 0 <= idx < n):
-                bad.append(f"valuation index out of range: {var} -> {idx}")
-
-    played = {p.outcome for p in game.plays}
-    for outcome in game.outcomes:
-        if outcome not in played:
-            warn.append(f"outcome {outcome} appears in no play")
-
-    return ValidationReport(tuple(bad), tuple(warn))
+    return bad
 
 
 def _profile_facts(profile, order, agents, actions):
@@ -318,10 +356,12 @@ def _profile_facts(profile, order, agents, actions):
     profile's order; otherwise the duplicate key is the set of entries and
     the unknown actions are None.
     """
-    in_order = tuple(profile.get(a) for a in order)
+    in_order = tuple(map(profile.get, order))
     covering = in_order if actions.issuperset(in_order) else None
-    if set(profile) != agents:
+    if profile.keys() != agents:
         return frozenset(profile.items()), covering, None
+    if covering is not None:
+        return in_order, covering, ()
     return in_order, covering, tuple(a for a in profile.values() if a not in actions)
 
 
@@ -380,16 +420,16 @@ def game_from_document(doc: dict) -> Game:
             # raises, naming the first bad field in this order
             for name, typ in (("state", str), ("outcome", str), ("profile", dict)):
                 _require(entry, name, typ, where=f"play {i}")
-        key = tuple(profile.items())
+        key = (*profile, *profile.values())  # one tuple: agents, then actions
         try:
             copy = shared.get(key)
         except TypeError:  # an unhashable entry, rejected below
             copy = None
         if copy is None:
-            if not all(isinstance(k, str) and isinstance(v, str) for k, v in key):
+            if not all(map(isinstance, key, repeat(str))):
                 raise FormatError(f"play {i}: profile entries must be strings")
             copy = shared[key] = MappingProxyType(dict(profile))
-        plays.append(Play(state, copy, outcome))
+        plays.append((state, copy, outcome))
 
     valuation_doc = doc.get("valuation", {})
     if not isinstance(valuation_doc, dict):
@@ -405,7 +445,7 @@ def game_from_document(doc: dict) -> Game:
         if len(valuation[var]) < len(indices):
             raise FormatError(f"valuation for {var!r} lists an index twice")
 
-    game = Game(agents, states, indist, actions, outcomes, tuple(plays), valuation)
+    game = Game(agents, states, indist, actions, outcomes, _plays(plays), valuation)
     report = validate_game(game)
     if not report.ok:
         raise ValidationError(report.violations)

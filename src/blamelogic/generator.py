@@ -31,7 +31,7 @@ from itertools import islice, product
 from types import MappingProxyType
 
 from . import semantics
-from .game import Game, Play, _indices
+from .game import Game, _indices, _plays
 from .hilbert import AXIOM_NAMES, DISJOINT, SCHEMAS, SUBSET, build_axiom
 from .syntax import (
     Blames,
@@ -163,7 +163,7 @@ def _build(agents, frame, valuation):
             blocks.setdefault(label, set()).add(state)
         indist[agent] = tuple(map(frozenset, blocks.values()))
     profiles = _profiles(agents, actions)
-    plays = tuple(Play(states[s], profiles[p], outcomes[o]) for s, p, o in ids)
+    plays = _plays((states[s], profiles[p], outcomes[o]) for s, p, o in ids)
     valuation = {var: frozenset(_indices(mask)) for var, mask in valuation.items()}
     return Game(tuple(agents), states, indist, actions, outcomes, plays, valuation)
 
@@ -230,6 +230,9 @@ class SweepReport:
     trials: int
     counts: dict  # read-only: schema name -> (instance, play) pairs checked
     violations: tuple
+
+    def __hash__(self):  # agrees with ==, which compares the counts by their items
+        return hash((self.trials, frozenset(self.counts.items()), self.violations))
 
     @property
     def ok(self) -> bool:

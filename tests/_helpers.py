@@ -6,12 +6,16 @@ and the blame clause as a literal exists/forall double loop (naive_witness).  It
 reference the fast evaluator is compared against.  reference_find_countermodel
 is the countermodel search as first written, building and evaluating one Game
 per candidate; the frame-by-frame search must return exactly its results.
+reference_validate_game is the validator as first written, one pass over the
+plays with a duplicate key and a totality key per play; the count-based
+validator must report exactly its violations and warnings, in its order.
 """
 
 import random
+from collections import Counter
 from itertools import islice, product
 
-from blamelogic.game import Game, Play
+from blamelogic.game import Game, Play, ValidationReport
 from blamelogic.generator import derive_seed
 from blamelogic.hilbert import (
     AXIOM_NAMES,
@@ -205,6 +209,104 @@ def identity_empty_classes(real):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# Reference validator
+
+
+def _reference_profile_facts(profile, order, agents, actions):
+    """(duplicate key, actions in agent order or None, unknown actions or None)."""
+    in_order = tuple(profile.get(a) for a in order)
+    covering = in_order if actions.issuperset(in_order) else None
+    if set(profile) != agents:
+        return frozenset(profile.items()), covering, None
+    return in_order, covering, tuple(a for a in profile.values() if a not in actions)
+
+
+def reference_validate_game(game):
+    bad = []
+    warn = []
+    for key in ("agents", "states", "actions", "outcomes"):
+        values = getattr(game, key)
+        if not values:
+            bad.append(f"{key} must be nonempty")
+        if len(set(values)) != len(values):
+            bad.append(f"duplicate entries in {key}")
+
+    states = set(game.states)
+    for agent in game.indist:
+        if agent not in game.agents:
+            bad.append(f"indist references unknown agent: {agent}")
+    for agent in game.agents:
+        blocks = game.indist.get(agent)
+        if blocks is None:
+            bad.append(f"missing partition for agent {agent}")
+            continue
+        seen = set()
+        for block in blocks:
+            if not block:
+                bad.append(f"empty partition block for agent {agent}")
+            overlap = seen & set(block)
+            if overlap:
+                bad.append(
+                    f"not a partition for agent {agent}: state "
+                    f"{sorted(overlap)[0]} appears in two blocks"
+                )
+            for state in block:
+                if state not in states:
+                    bad.append(f"partition for agent {agent} references unknown state: {state}")
+            seen |= set(block)
+        missing = states - seen
+        if missing:
+            bad.append(f"partition for agent {agent} does not cover state {sorted(missing)[0]}")
+
+    agents = set(game.agents)
+    actions = set(game.actions)
+    outcomes = set(game.outcomes)
+    seen_plays = set()
+    covered = set()
+    for i, play in enumerate(game.plays):
+        profile_key, in_order, unknown = _reference_profile_facts(
+            play.profile, game.agents, agents, actions
+        )
+        if in_order is not None:
+            covered.add((play.state, in_order))
+        if play.state not in states:
+            bad.append(f"play {i} references unknown state: {play.state}")
+        if play.outcome not in outcomes:
+            bad.append(f"play {i} references unknown outcome: {play.outcome}")
+        if unknown is None:
+            bad.append(f"play {i} profile domain is not exactly the agent set")
+        elif unknown:
+            bad.extend(f"play {i} references unknown action: {a}" for a in unknown)
+        key = (play.state, profile_key, play.outcome)
+        if key in seen_plays:
+            bad.append(f"duplicate play at index {i}")
+        seen_plays.add(key)
+
+    counts = Counter(s for s, _ in covered)
+    for state in game.states:
+        missing = len(actions) ** len(game.agents) - counts[state]
+        if missing:
+            profiles = product(game.actions, repeat=len(game.agents))
+            first = next(pr for pr in profiles if (state, pr) not in covered)
+            shown = {a: act for a, act in zip(game.agents, first)}
+            more = f" ({missing} profiles missing)" if missing > 1 else ""
+            bad.append(f"totality violated at ({state}, {shown}){more}")
+
+    n = len(game.plays)
+    for var, indices in game.valuation.items():
+        for idx in indices:
+            if not (isinstance(idx, int) and 0 <= idx < n):
+                bad.append(f"valuation index out of range: {var} -> {idx}")
+
+    played = {p.outcome for p in game.plays}
+    for outcome in game.outcomes:
+        if outcome not in played:
+            warn.append(f"outcome {outcome} appears in no play")
+
+    return ValidationReport(tuple(bad), tuple(warn))
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,21 @@ def test_play_equality_is_structural():
     assert Play("s", {"a": "d"}, "o") != Play("s", {"a": "e"}, "o")
 
 
+def test_plays_are_read_only_and_equal_only_to_plays():
+    play = Play("s", {"a": "d"}, "o")
+    triple = ("s", {"a": "d"}, "o")
+    assert (play == triple, triple == play, play != triple, triple != play) == (
+        False, False, True, True
+    )
+    assert (play.state, play.profile, play.outcome) == triple
+    assert repr(play) == "Play(state='s', profile={'a': 'd'}, outcome='o')"
+    assert hash(play) == hash(("s", frozenset({"a": "d"}.items()), "o"))
+    for name in ("state", "profile", "outcome", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(play, name, "t")
+    assert play == Play("s", {"a": "d"}, "o")
+
+
 @given(st.text(max_size=60))
 def test_loader_is_total_over_junk(text):
     try:

@@ -121,6 +121,13 @@ def test_sweep_counts_are_read_only():
         report.counts["Truth-K"] = 0
 
 
+def test_equal_sweep_reports_hash_equal():
+    a, b = (soundness_sweep(GenParams(seed=1), 1) for _ in range(2))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, soundness_sweep(GenParams(seed=1), 2)}) == 2
+
+
 def test_sweep_counts_every_schema_and_finds_no_violation():
     report = soundness_sweep(GenParams(seed=11), 60)
     assert report.ok
