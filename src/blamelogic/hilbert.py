@@ -5,7 +5,9 @@ instance, a premise, modus ponens from two earlier lines, or necessitation
 of an earlier line.  Necessitation is only legal on lines that do not
 depend on any premise, which realizes the split between plain theorems and
 derivations from hypotheses in one checker: hypothesis-mode reasoning is
-exactly modus ponens over premises and theorems.
+exactly modus ponens over premises and theorems.  A discharged script
+repeats lines inside later ones, so parse_proof and format_proof keep one
+memo per call, of the groups parsed and the subformulas printed.
 
 Tautology checking reads a formula as a Boolean combination of its modal
 atoms (maximal Var/Knows/Blames subformulas) and decides truth under all
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     AtomBudgetExceededError,
@@ -43,12 +46,13 @@ from .syntax import (
     Neg,
     TOP,
     Var,
+    _parse_formula,
+    _render,
     atom_list,
     conj,
     disj,
     format_coalition,
     parse_coalition,
-    parse_formula,
     poss_knows,
     print_formula,
 )
@@ -426,27 +430,31 @@ def parse_proof(text: str) -> ProofScript:
     Layout: an optional `premises:` line, a `goal:` line, then numbered
     lines `N. <formula> ; <justification>`.  `#` starts a comment.  A bad
     formula or coalition is reported as `line L: ...`, with L the 1-based
-    line of the text and the byte offset counted from that line's start.
+    line of the text and the byte offset counted from that line's start,
+    as is a second `goal:` or `premises:` line.
     """
-    premises = ()
-    goal = None
+    heads = {}  # "premises" and "goal" -> what their one line gives
     lines = []
+    parse = partial(_parse_formula, memo={})  # one group memo for the script
     for number, raw in enumerate(text.splitlines(), 1):
         code = raw.split("#", 1)[0]
         stripped = code.strip()
         if not stripped:
             continue
-        if stripped.startswith("premises:"):
+        head = stripped.partition(":")[0]
+        if head in ("premises", "goal"):
+            if head in heads:
+                raise ParseError(f"line {number}: second {head}: line")
             start = code.index(":") + 1
+            if head == "goal":
+                heads[head] = _parse_at(parse, code, number, start)
+                continue
+            parts = []
             if code[start:].strip():
-                parts = []
                 for part in code[start:].split(";"):
-                    parts.append(_parse_at(parse_formula, code, number, start, start + len(part)))
+                    parts.append(_parse_at(parse, code, number, start, start + len(part)))
                     start += len(part) + 1
-                premises = tuple(parts)
-            continue
-        if stripped.startswith("goal:"):
-            goal = _parse_at(parse_formula, code, number, code.index(":") + 1)
+            heads[head] = tuple(parts)
             continue
         m = _LINE_RE.match(code)
         if not m:
@@ -457,13 +465,13 @@ def parse_proof(text: str) -> ProofScript:
         lines.append(
             ProofLine(
                 int(m.group(1)),
-                _parse_at(parse_formula, code, number, m.start(2), end),
+                _parse_at(parse, code, number, m.start(2), end),
                 _parse_justification(code, number, end + 1),
             )
         )
-    if goal is None:
+    if "goal" not in heads:
         raise ParseError("proof has no goal: line")
-    return ProofScript(premises, tuple(lines), goal)
+    return ProofScript(heads.get("premises", ()), tuple(lines), heads["goal"])
 
 
 def format_justification(j) -> str:
@@ -482,16 +490,14 @@ def format_justification(j) -> str:
 
 
 def format_proof(script: ProofScript) -> str:
-    """Serialize a script in the parse_proof format."""
-    out = []
-    if script.premises:
-        out.append("premises: " + " ; ".join(print_formula(p) for p in script.premises))
-    out.append("goal: " + print_formula(script.goal))
+    """Serialize a script in the parse_proof format, rendering each distinct
+    subformula once for the whole script."""
+    show = partial(_render, parenthesize_implies=False, memo={})
+    out = ["premises: " + " ; ".join(map(show, script.premises))] if script.premises else []
+    out.append("goal: " + show(script.goal))
     for line in script.lines:
-        out.append(
-            f"{line.index}. {print_formula(line.formula)} ; "
-            f"{format_justification(line.justification)}"
-        )
+        just = format_justification(line.justification)
+        out.append(f"{line.index}. {show(line.formula)} ; {just}")
     return "\n".join(out) + "\n"
 
 

@@ -37,7 +37,9 @@ printed text doubles with each nesting, and text like
 `p <-> p <-> ... <-> p` would otherwise parse quickly into a formula that
 takes seconds to print.  Both checks read the root's stored size and depth.
 A counter of open parentheses rejects the MAX_DEPTH-th, so the texts the
-parser accepts do not depend on the caller's stack depth.
+parser accepts do not depend on the caller's stack depth.  A proof script
+is parsed with one memo of its groups (parse_formula has none): a group
+parsed before is skipped, its parentheses counted as if read again.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import re
 import threading
 import weakref
 from dataclasses import FrozenInstanceError
+from itertools import accumulate, repeat
 
 from .errors import FormulaDepthError, ParseError
 
@@ -332,6 +335,7 @@ _SCANNER = re.compile(
     r"\s*(" + "|".join(map(re.escape, _PUNCTUATION)) + "|" + IDENT_RE.pattern + r"|\S)"
 )
 _UNARY_START = frozenset({"IDENT", "LPAREN", "NOT", "POSSK"})
+_PAREN_STEP = {"LPAREN": 1, "RPAREN": -1}  # token kind -> change in open parentheses
 # Binary operator token kind -> (precedence, floor for its right operand,
 # builder).  A floor one above the precedence makes the operator
 # left-associative; `->` takes its own precedence as the floor, so it is
@@ -375,13 +379,19 @@ def _byte_offset(text: str, k: int) -> int:
 
 
 class _Parser:
-    """Precedence climbing over the token lists of one text."""
+    """Precedence climbing over the token lists of one text.  memo, if not
+    None, maps the token texts, joined by a space, of each parenthesised
+    group that parsed to (its formula, the parentheses it nests)."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo=None):
         self.text = text
         self.kinds, self.texts = _scan(text)
         self.pos = 0
         self.parens = 0  # open parentheses around the current position
+        self.memo = memo
+        if memo is not None:  # open parentheses after each token
+            self.depth = list(accumulate(map(_PAREN_STEP.get, self.kinds, repeat(0))))
+            self.memo = memo if self.depth[-1] <= 0 else None  # a `(` not closed fails anyway
 
     def fail(self, expected):
         pos = self.pos
@@ -421,12 +431,18 @@ class _Parser:
             c = self.coalition_literal()
             return poss_knows(c, self.unary())
         if kind == "LPAREN":
+            start = self.pos - 1
+            if self.memo is not None and (f := self.recall()) is not None:
+                return f
             self.parens += 1
             if self.parens >= MAX_DEPTH:
                 raise ParseError("formula nested too deeply")
             f = self.binary()
             self.expect("RPAREN")
             self.parens -= 1
+            if self.memo is not None:  # store f and the parentheses it nests
+                key = " ".join(self.texts[start : self.pos])
+                self.memo[key] = f, max(self.depth[start : self.pos]) - self.parens
             return f
         word = self.texts[self.pos - 1]
         if word in ("K", "B") and self.kinds[self.pos] == "LBRACE":
@@ -434,6 +450,19 @@ class _Parser:
             inner = self.unary()
             return Knows(c, inner) if word == "K" else Blames(c, inner)
         return TOP if word == "true" else BOTTOM if word == "false" else Var(word)
+
+    def recall(self):
+        """The memo's formula for the group whose `(` was just read, or None.
+        A hit reads past its `)`, the first later token after which as few
+        parentheses are open as before the `(`, and counts the parentheses
+        it nests against MAX_DEPTH as if it were read again."""
+        end = self.depth.index(self.parens, self.pos)
+        hit = self.memo.get(" ".join(self.texts[self.pos - 1 : end + 1]))
+        if hit is not None:
+            if self.parens + hit[1] >= MAX_DEPTH:
+                raise ParseError("formula nested too deeply")
+            self.pos = end + 1
+            return hit[0]
 
     def coalition_literal(self) -> Coalition:
         self.expect("LBRACE")
@@ -459,7 +488,12 @@ def parse_formula(text: str) -> Formula:
     occurrence, has more than MAX_NODES nodes.  An empty coalition
     literal `{}` is legal.
     """
-    p = _Parser(text)
+    return _parse_formula(text, None)
+
+
+def _parse_formula(text: str, memo) -> Formula:
+    """parse_formula, reading groups through memo unless it is None (see _Parser)."""
+    p = _Parser(text, memo)
     try:
         f = p.binary()
     except (RecursionError, FormulaDepthError):

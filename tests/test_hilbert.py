@@ -1,9 +1,19 @@
+import re
+import weakref
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import AGENTS, VARS, make_rng, negate_line, rand_coalition, rand_formula
+from _helpers import (
+    AGENTS,
+    VARS,
+    make_rng,
+    negate_line,
+    rand_coalition,
+    rand_formula,
+    random_premise_script,
+)
 from blamelogic import asset_path
 from blamelogic.errors import AtomBudgetExceededError, ParseError
 from blamelogic.hilbert import (
@@ -18,6 +28,8 @@ from blamelogic.hilbert import (
     Taut,
     build_axiom,
     check_proof,
+    deduction_transform,
+    format_justification,
     format_proof,
     is_tautology_instance,
     match_axiom,
@@ -26,6 +38,7 @@ from blamelogic.hilbert import (
     parse_proof_file,
 )
 from blamelogic.syntax import (
+    MAX_DEPTH,
     TOP,
     Blames,
     Implies,
@@ -34,6 +47,7 @@ from blamelogic.syntax import (
     Var,
     atom_list,
     parse_formula,
+    print_formula,
 )
 
 p, q = Var("p"), Var("q")
@@ -516,3 +530,121 @@ def test_nec_coalitions_read_as_in_formulas(literal):
     in_proof = _coalition_or_error(lambda: parse_proof(script).lines[1].justification.coalition)
     in_formula = _coalition_or_error(lambda: parse_formula(f"K{literal} p").coalition)
     assert in_proof == in_formula
+
+
+@pytest.mark.parametrize(
+    "text, number",
+    [
+        ("goal: p -> p\ngoal: q -> q\n1. q -> q ; taut\n", 2),
+        ("premises: p\ngoal: p\n# a comment\npremises: q\n1. p ; premise\n", 4),
+        ("premises:\ngoal: p\npremises: p\n1. p ; premise\n", 3),
+    ],
+)
+def test_a_second_goal_or_premises_line_is_a_parse_error(text, number):
+    # the last such line used to win silently
+    with pytest.raises(ParseError, match=rf"^line {number}: second (goal|premises): line$"):
+        parse_proof(text)
+
+
+# ---------------------------------------------------------------------------
+# Per-script memos: parse_proof reads each repeated parenthesised group once,
+# format_proof renders each repeated subformula once.  The references below
+# read and print every formula on its own.
+
+
+def _reference_format(script):
+    out = []
+    if script.premises:
+        out.append("premises: " + " ; ".join(print_formula(f) for f in script.premises))
+    out.append("goal: " + print_formula(script.goal))
+    for line in script.lines:
+        just = format_justification(line.justification)
+        out.append(f"{line.index}. {print_formula(line.formula)} ; {just}")
+    return "\n".join(out) + "\n"
+
+
+def _reference_parse(text):
+    """(premises, line formulas, goal) of a _reference_format text, each
+    formula text parsed by its own parse_formula call."""
+    premises, formulas, goal = (), [], None
+    for raw in text.splitlines():
+        head, _, rest = raw.partition(":")
+        if head == "premises":
+            premises = tuple(parse_formula(part) for part in rest.split(";"))
+        elif head == "goal":
+            goal = parse_formula(rest)
+        else:
+            formulas.append(parse_formula(raw.partition(". ")[2].rpartition(" ; ")[0]))
+    return premises, formulas, goal
+
+
+def _discharged(script, phis):
+    for phi in phis:
+        script = deduction_transform(script, phi)
+    return script
+
+
+def _memo_scripts():
+    """The corpus fully discharged, then 100 seeded random premise scripts
+    with one premise discharged."""
+    for name in CORPUS:
+        script = corpus_script(name)
+        yield name, _discharged(script, script.premises)
+    rng = make_rng(1616)
+    for k in range(100):
+        script, phi = random_premise_script(rng)
+        yield f"random-{k}", _discharged(script, [phi])
+
+
+def test_script_memos_match_parsing_and_printing_each_formula_alone():
+    for name, script in _memo_scripts():
+        text = _reference_format(script)
+        assert format_proof(script) == text, name
+        parsed = parse_proof(text)
+        premises, formulas, goal = _reference_parse(text)
+        # nodes are interned, so == on them (and on lists of them) is `is`
+        assert parsed.premises == premises == script.premises, name
+        assert [line.formula for line in parsed.lines] == formulas, name
+        assert formulas == [line.formula for line in script.lines], name
+        assert parsed.goal is goal is script.goal, name
+        assert parsed == script, name
+
+
+@pytest.mark.parametrize("extra", [48, 49, 50])
+def test_a_memo_hit_counts_the_parentheses_it_nests(extra):
+    # line 3 reads the 150-deep group of line 2 from the memo, inside
+    # `extra` more pairs: 199 open at once parse, and the 200th is refused
+    group = "(" * 150 + "p -> q" + ")" * 150
+    deeper = "(" * extra + group + ")" * extra
+    text = f"goal: p\n1. {group} -> p ; taut\n2. {deeper} -> p ; taut\n"
+    if extra + 150 < MAX_DEPTH:
+        assert parse_proof(text).lines[1].formula is parse_formula(f"{deeper} -> p")
+    else:
+        with pytest.raises(ParseError, match="^line 3: formula nested too deeply$"):
+            parse_proof(text)
+
+
+def test_a_bad_group_around_memo_hits_keeps_its_message_and_offset():
+    # line 3 repeats line 2's group three times, the last inside a group
+    # that does not parse; the error is the one parse_formula gives alone
+    line = "2. ~(p -> q) -> ((p -> q) -> (p -> q q)) ; taut"
+    offset = line.index("q q") + 2
+    with pytest.raises(ParseError) as err:
+        parse_proof(f"goal: p\n1. (p -> q) -> p ; taut\n{line}\n")
+    message = f"unexpected 'q' at byte {offset}, expected one of ['RPAREN']"
+    assert (str(err.value), err.value.offset) == (f"line 3: {message}", offset)
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+        parse_formula(" " * 3 + line[3 : line.rindex(";")])
+    # the memo keys tokens apart: `p q` is two names, not line 2's `pq`
+    with pytest.raises(ParseError, match=r"^line 3: unexpected 'q' at byte 6,"):
+        parse_proof("goal: p\n1. (pq -> r) ; taut\n2. (p q -> r) ; taut\n")
+
+
+def test_no_script_memo_outlives_its_call():
+    # a node that only the parsed script holds dies with the script, so
+    # neither parse_proof nor format_proof keeps a memo past its call
+    script = parse_proof("goal: memo_only -> memo_only\n1. (memo_only -> memo_only) ; taut\n")
+    ref = weakref.ref(script.goal)
+    assert format_proof(script).endswith("1. memo_only -> memo_only ; taut\n")
+    del script
+    assert ref() is None

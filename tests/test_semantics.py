@@ -10,7 +10,8 @@ from _helpers import naive_evaluate, naive_indist
 from blamelogic.errors import PlayNotInGameError, UnknownAgentError
 from blamelogic.game import Game, Play, identity_partition, indistinguishable, load_game
 from blamelogic.generator import GenParams, gen_formula, gen_game
-from blamelogic.hilbert import is_tautology_instance
+from blamelogic import asset_path
+from blamelogic.hilbert import deduction_transform, format_proof, is_tautology_instance, parse_proof
 from blamelogic.semantics import (
     _classes,
     blame_witness,
@@ -345,16 +346,25 @@ def test_nondeterministic_outcomes_all_must_falsify():
     assert evaluate(determined, determined.plays[0], parse_formula("B{a}p"))
 
 
-@pytest.mark.parametrize("name", ["extension_mask", "print_formula", "is_tautology_instance"])
+@pytest.mark.parametrize(
+    "name",
+    ["extension_mask", "print_formula", "is_tautology_instance", "parse_proof", "format_proof"],
+)
 def test_hot_calls_leave_no_reference_cycles(truck_selfdriving, name):
     # garbage in reference cycles waits for the cyclic collector, whose
     # passes rescan every live object; these run thousands of times per
     # proof check or sweep, so they must leave none
     f = parse_formula("B{c}col -> K{c}(col | ~col) & (K{}col <-> ~B{c}~col)")
+    script = parse_proof(asset_path("lemma5.proof").read_text())
+    for phi in script.premises:
+        script = deduction_transform(script, phi)
+    text = format_proof(script)
     call = {
         "extension_mask": lambda: extension_mask(truck_selfdriving, f),
         "print_formula": lambda: print_formula(f),
         "is_tautology_instance": lambda: is_tautology_instance(f),
+        "parse_proof": lambda: parse_proof(text),
+        "format_proof": lambda: format_proof(script),
     }[name]
     call()  # first-use caches are not garbage
     gc.collect()
