@@ -389,10 +389,8 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
     atoms = tuple(map(Var, variables))
-    frames = {}  # frame -> (its number, its Game with no valuation, that Game's masks)
-    checked = set()  # (frame number, valuation) of candidates that hold everywhere
-    unchecked = []  # per frame number, how many of its valuations are not in checked
-    exhausted = set()  # frames with none unchecked
+    frames = {}  # frame -> (its Game with no valuation, its masks, its valuations checked)
+    exhausted = set()  # frames with all 2^(plays * variables) valuations checked
     stream = _candidates(len(agents), len(variables), budget, exhausted)
     for frame, valuation in islice(stream, budget.max_candidates):
         if valuation is None:  # a duplicate of a checked candidate
@@ -400,19 +398,16 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
         entry = frames.get(frame)
         if entry is None:
             game = _build(agents, frame, {})
-            entry = frames[frame] = (len(frames), game, game._masks)
-            unchecked.append(1 << (len(frame[2]) * len(variables)))
-        number, game, masks = entry
-        key = (number, valuation)
-        if key in checked:
+            entry = frames[frame] = (game, game._masks, set())
+        game, masks, checked = entry
+        if valuation in checked:
             continue
-        checked.add(key)
+        checked.add(valuation)
         memo = dict(zip(atoms, valuation))
         missing = masks.full & ~semantics._ext(formula, masks.full, game, masks, memo)
         if missing:
             countermodel = _build(agents, frame, dict(zip(variables, valuation)))
             return countermodel, (missing & -missing).bit_length() - 1
-        unchecked[number] -= 1
-        if not unchecked[number]:
+        if len(checked) == 1 << (len(frame[2]) * len(variables)):
             exhausted.add(frame)
     return None

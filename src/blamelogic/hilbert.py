@@ -406,32 +406,32 @@ def _parse_justification(line: str, number: int, start: int):
     if text.startswith("axiom:"):
         name = text[len("axiom:") :].strip()
         if name not in AXIOM_NAMES:
-            raise ParseError(f"unknown axiom name: {name!r}")
+            raise ParseError(f"line {number}: unknown axiom name: {name!r}")
         return Axiom(name)
     parts = text.split(None, 2)
     if parts and parts[0] == "mp" and len(parts) == 3:
         try:
             return MP(int(parts[1]), int(parts[2]))
         except ValueError:
-            raise ParseError(f"bad modus ponens reference: {text!r}") from None
+            raise ParseError(f"line {number}: bad modus ponens reference: {text!r}") from None
     if parts and parts[0] == "nec" and len(parts) == 3:
         try:
             i = int(parts[1])
         except ValueError:
-            raise ParseError(f"bad necessitation reference: {text!r}") from None
+            raise ParseError(f"line {number}: bad necessitation reference: {text!r}") from None
         # the literal is the rest of the line, so it ends where the line does
         return Nec(i, _parse_at(parse_coalition, line, number, len(line.rstrip()) - len(parts[2])))
-    raise ParseError(f"bad justification: {text!r}")
+    raise ParseError(f"line {number}: bad justification: {text!r}")
 
 
 def parse_proof(text: str) -> ProofScript:
     """Parse the line-based proof format.
 
     Layout: an optional `premises:` line, a `goal:` line, then numbered
-    lines `N. <formula> ; <justification>`.  `#` starts a comment.  A bad
-    formula or coalition is reported as `line L: ...`, with L the 1-based
-    line of the text and the byte offset counted from that line's start,
-    as is a second `goal:` or `premises:` line.
+    lines `N. <formula> ; <justification>`.  `#` starts a comment.  Every
+    error but a missing `goal:` line is reported as `line L: ...`, with L
+    the 1-based line of the text; a bad formula or coalition has its byte
+    offset counted from that line's start.
     """
     heads = {}  # "premises" and "goal" -> what their one line gives
     lines = []
@@ -441,8 +441,8 @@ def parse_proof(text: str) -> ProofScript:
         stripped = code.strip()
         if not stripped:
             continue
-        head = stripped.partition(":")[0]
-        if head in ("premises", "goal"):
+        head, colon, _ = stripped.partition(":")
+        if colon and head in ("premises", "goal"):
             if head in heads:
                 raise ParseError(f"line {number}: second {head}: line")
             start = code.index(":") + 1
@@ -458,9 +458,9 @@ def parse_proof(text: str) -> ProofScript:
             continue
         m = _LINE_RE.match(code)
         if not m:
-            raise ParseError(f"bad proof line: {stripped!r}")
+            raise ParseError(f"line {number}: bad proof line: {stripped!r}")
         if ";" not in m.group(2):
-            raise ParseError(f"missing justification on line {m.group(1)}")
+            raise ParseError(f"line {number}: missing justification on line {m.group(1)}")
         end = code.rindex(";")
         lines.append(
             ProofLine(

@@ -24,22 +24,23 @@ stay within reach of the recursive walks.  The helpers that walk a formula
 visit each distinct node once, so their time is linear in the shared graph
 however often `<->` reuses its operands.
 
-One compiled regular expression splits the text into tokens, and one
-precedence-climbing method reads the token kinds and texts by index: the
-table _BINARY gives each binary operator its precedence, associativity and
-builder, and the prefix operators, atoms and parentheses are read by
-recursive descent.  The parser rejects any formula whose AST, after sugar
-expansion, is more than MAX_DEPTH levels deep, so that printing and
-evaluating a parsed formula (both recursive) stay far below the
-interpreter's recursion limit.  It also rejects an AST of more than
-MAX_NODES nodes counted as a tree: `<->` uses each operand twice, so
-printed text doubles with each nesting, and text like
-`p <-> p <-> ... <-> p` would otherwise parse quickly into a formula that
-takes seconds to print.  Both checks read the root's stored size and depth.
-A counter of open parentheses rejects the MAX_DEPTH-th, so the texts the
-parser accepts do not depend on the caller's stack depth.  A proof script
-is parsed with one memo of its groups (parse_formula has none): a group
-parsed before is skipped, its parentheses counted as if read again.
+One compiled regular expression splits the text into token texts, and a
+text with a character that is neither space nor in a token is refused.  One
+precedence-climbing method reads the texts by index: the table _BINARY
+gives each binary operator its precedence, associativity and builder, and
+the prefix operators, atoms and parentheses are read by recursive descent.
+The parser rejects any formula whose AST, after sugar expansion, is more
+than MAX_DEPTH levels deep, so that printing and evaluating a parsed
+formula (both recursive) stay far below the interpreter's recursion limit.
+It also rejects an AST of more than MAX_NODES nodes counted as a tree:
+`<->` uses each operand twice, so printed text doubles with each nesting,
+and text like `p <-> p <-> ... <-> p` would otherwise parse quickly into a
+formula that takes seconds to print.  Both checks read the root's stored
+size and depth.  One list of the parentheses open after each token rejects
+the MAX_DEPTH-th, so the texts the parser accepts do not depend on the
+caller's stack depth.  A proof script is parsed with one memo of its groups
+(parse_formula has none): a group parsed before is skipped, and refused if
+its deepest parenthesis is.
 """
 
 from __future__ import annotations
@@ -324,79 +325,70 @@ def modal_atoms(f: Formula) -> set:
 # ---------------------------------------------------------------------------
 # Scanner and parser
 
-# Punctuation token kinds, in match order: `<->` before `<K>` before `->`.
+# Punctuation token text -> its kind, the name ParseError.expected gives it;
+# in match order: `<->` before `<K>` before `->`.
 _PUNCTUATION = {
     "<->": "IFF", "<K>": "POSSK", "->": "ARROW", "~": "NOT", "|": "OR", "&": "AND",
     "(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE", ",": "COMMA",
 }
-# One token per match, after optional whitespace: punctuation, then an
-# identifier, then any other character, which is an error.
-_SCANNER = re.compile(
-    r"\s*(" + "|".join(map(re.escape, _PUNCTUATION)) + "|" + IDENT_RE.pattern + r"|\S)"
-)
+# One token per match: punctuation, else an identifier.  findall passes over
+# whatever matches neither, space or not.
+_SCANNER = re.compile("|".join(map(re.escape, _PUNCTUATION)) + "|" + IDENT_RE.pattern)
 _UNARY_START = frozenset({"IDENT", "LPAREN", "NOT", "POSSK"})
-_PAREN_STEP = {"LPAREN": 1, "RPAREN": -1}  # token kind -> change in open parentheses
-# Binary operator token kind -> (precedence, floor for its right operand,
+_PAREN_STEP = {"(": 1, ")": -1}  # token text -> change in open parentheses
+# Binary operator token -> (precedence, floor for its right operand,
 # builder).  A floor one above the precedence makes the operator
 # left-associative; `->` takes its own precedence as the floor, so it is
 # right-associative.
 _BINARY = {
-    "IFF": (1, 2, iff),
-    "ARROW": (2, 2, Implies),
-    "OR": (3, 4, disj),
-    "AND": (4, 5, conj),
+    "<->": (1, 2, iff),
+    "->": (2, 2, Implies),
+    "|": (3, 4, disj),
+    "&": (4, 5, conj),
 }
 
 
-def _scan(text: str):
-    """Token kinds and texts, ending with an EOF token.
-
-    Trailing whitespace is cut off first, so that no match backtracks over
-    it.  A stray character, neither punctuation nor a letter, raises.
-    """
-    texts = _SCANNER.findall(text, 0, len(text.rstrip()))
-    kinds = [
-        _PUNCTUATION.get(t) or ("IDENT" if t[0].isalpha() and t.isascii() else None)
-        for t in texts
-    ]
-    if None in kinds:
-        bad = kinds.index(None)
-        offset = _byte_offset(text, bad)
+def _scan(text: str) -> list:
+    """Token texts, ending with "" for the end of input.  The tokens hold
+    every character but space exactly when their texts, joined, are the
+    text without its space; if not, the first stray character raises."""
+    texts = _SCANNER.findall(text)
+    if "".join(texts) != "".join(text.split()):
+        blanked = _SCANNER.sub(lambda m: " " * len(m[0]), text)  # tokens are ASCII
+        bad = len(blanked) - len(blanked.lstrip())
+        offset = len(text[:bad].encode("utf-8"))
         raise ParseError(
-            f"unexpected character {texts[bad]!r} at byte {offset}",
+            f"unexpected character {text[bad]!r} at byte {offset}",
             offset=offset,
             expected={"IDENT", *_PUNCTUATION.values()},
         )
-    kinds.append("EOF")
     texts.append("")
-    return kinds, texts
-
-
-def _byte_offset(text: str, k: int) -> int:
-    """Byte offset of token k of text; offsets are only needed for errors."""
-    starts = [m.start(1) for m in _SCANNER.finditer(text, 0, len(text.rstrip()))]
-    return len(text[: starts[k] if k < len(starts) else len(text)].encode("utf-8"))
+    return texts
 
 
 class _Parser:
-    """Precedence climbing over the token lists of one text.  memo, if not
-    None, maps the token texts, joined by a space, of each parenthesised
-    group that parsed to (its formula, the parentheses it nests)."""
+    """Precedence climbing over the token texts of one text.
+
+    depth[k] is the number of parentheses open after token k, or depth is
+    False for a text with no `(`; a `(` that opens the MAX_DEPTH-th raises.
+    memo, if not None, maps the token texts, joined by a space, of each
+    parenthesised group that parsed to its formula; a hit is skipped, and
+    raises if the deepest of its parentheses would.
+    """
 
     def __init__(self, text: str, memo=None):
         self.text = text
-        self.kinds, self.texts = _scan(text)
+        self.texts = _scan(text)
         self.pos = 0
-        self.parens = 0  # open parentheses around the current position
-        self.memo = memo
-        if memo is not None:  # open parentheses after each token
-            self.depth = list(accumulate(map(_PAREN_STEP.get, self.kinds, repeat(0))))
-            self.memo = memo if self.depth[-1] <= 0 else None  # a `(` not closed fails anyway
+        # only a `(` reads depth and the memo; a `(` never closed fails anyway
+        self.depth = "(" in text and list(accumulate(map(_PAREN_STEP.get, self.texts, repeat(0))))
+        self.memo = memo if self.depth and self.depth[-1] <= 0 else None
 
     def fail(self, expected):
-        pos = self.pos
-        shown = self.texts[pos] if self.kinds[pos] != "EOF" else "end of input"
-        offset = _byte_offset(self.text, pos)
+        # where each token, then the end of input, starts: only errors need it
+        starts = [m.start() for m in _SCANNER.finditer(self.text)] + [len(self.text)]
+        offset = len(self.text[: starts[self.pos]].encode("utf-8"))
+        shown = self.texts[self.pos] or "end of input"
         raise ParseError(
             f"unexpected {shown!r} at byte {offset}, "
             f"expected one of {sorted(expected)}",
@@ -404,75 +396,73 @@ class _Parser:
             expected=expected,
         )
 
-    def expect(self, kind: str) -> str:
-        if self.kinds[self.pos] != kind:
-            self.fail({kind})
+    def expect(self, token: str):
+        if self.texts[self.pos] != token:
+            self.fail({_PUNCTUATION[token]})
         self.pos += 1
-        return self.texts[self.pos - 1]
+
+    def ident(self) -> str:
+        word = self.texts[self.pos]
+        if not word[:1].isalpha():
+            self.fail({"IDENT"})
+        self.pos += 1
+        return word
 
     def binary(self, floor: int = 1) -> Formula:
         """Read operands joined by binary operators of precedence >= floor."""
         f = self.unary()
         while True:
-            op = _BINARY.get(self.kinds[self.pos])
+            op = _BINARY.get(self.texts[self.pos])
             if op is None or op[0] < floor:
                 return f
             self.pos += 1
             f = op[2](f, self.binary(op[1]))
 
     def unary(self) -> Formula:
-        kind = self.kinds[self.pos]
-        if kind not in _UNARY_START:
-            self.fail(_UNARY_START)
+        start = self.pos
+        token = self.texts[start]
         self.pos += 1
-        if kind == "NOT":
+        if token == "~":
             return Neg(self.unary())
-        if kind == "POSSK":
+        if token == "<K>":
             c = self.coalition_literal()
             return poss_knows(c, self.unary())
-        if kind == "LPAREN":
-            start = self.pos - 1
-            if self.memo is not None and (f := self.recall()) is not None:
-                return f
-            self.parens += 1
-            if self.parens >= MAX_DEPTH:
+        if token == "(":
+            depth = self.depth
+            if depth[start] >= MAX_DEPTH:
                 raise ParseError("formula nested too deeply")
+            if self.memo is not None:  # the group ends where depth first drops below its `(`
+                end = depth.index(depth[start] - 1, start) + 1
+                key = " ".join(self.texts[start:end])
+                f = self.memo.get(key)
+                if f is not None:
+                    if max(depth[start:end]) >= MAX_DEPTH:
+                        raise ParseError("formula nested too deeply")
+                    self.pos = end
+                    return f
             f = self.binary()
-            self.expect("RPAREN")
-            self.parens -= 1
-            if self.memo is not None:  # store f and the parentheses it nests
-                key = " ".join(self.texts[start : self.pos])
-                self.memo[key] = f, max(self.depth[start : self.pos]) - self.parens
+            self.expect(")")
+            if self.memo is not None:
+                self.memo[key] = f
             return f
-        word = self.texts[self.pos - 1]
-        if word in ("K", "B") and self.kinds[self.pos] == "LBRACE":
+        if token in _PUNCTUATION or not token:  # not an identifier
+            self.pos = start
+            self.fail(_UNARY_START)
+        if token in ("K", "B") and self.texts[self.pos] == "{":
             c = self.coalition_literal()
             inner = self.unary()
-            return Knows(c, inner) if word == "K" else Blames(c, inner)
-        return TOP if word == "true" else BOTTOM if word == "false" else Var(word)
-
-    def recall(self):
-        """The memo's formula for the group whose `(` was just read, or None.
-        A hit reads past its `)`, the first later token after which as few
-        parentheses are open as before the `(`, and counts the parentheses
-        it nests against MAX_DEPTH as if it were read again."""
-        end = self.depth.index(self.parens, self.pos)
-        hit = self.memo.get(" ".join(self.texts[self.pos - 1 : end + 1]))
-        if hit is not None:
-            if self.parens + hit[1] >= MAX_DEPTH:
-                raise ParseError("formula nested too deeply")
-            self.pos = end + 1
-            return hit[0]
+            return Knows(c, inner) if token == "K" else Blames(c, inner)
+        return TOP if token == "true" else BOTTOM if token == "false" else Var(token)
 
     def coalition_literal(self) -> Coalition:
-        self.expect("LBRACE")
+        self.expect("{")
         names = []
-        if self.kinds[self.pos] == "IDENT":
-            names.append(self.expect("IDENT"))
-            while self.kinds[self.pos] == "COMMA":
+        if self.texts[self.pos][:1].isalpha():
+            names.append(self.ident())
+            while self.texts[self.pos] == ",":
                 self.pos += 1
-                names.append(self.expect("IDENT"))
-        self.expect("RBRACE")
+                names.append(self.ident())
+        self.expect("}")
         return frozenset(names)
 
 
@@ -498,7 +488,7 @@ def _parse_formula(text: str, memo) -> Formula:
         f = p.binary()
     except (RecursionError, FormulaDepthError):
         raise ParseError("formula nested too deeply") from None
-    if p.kinds[p.pos] != "EOF":
+    if p.texts[p.pos]:
         p.fail({"EOF"})
     if f.size > MAX_NODES:
         raise ParseError("formula too large")
@@ -512,7 +502,7 @@ def parse_coalition(text: str) -> Coalition:
     parse_formula does."""
     p = _Parser(text)
     c = p.coalition_literal()
-    if p.kinds[p.pos] != "EOF":
+    if p.texts[p.pos]:
         p.fail({"EOF"})
     return c
 

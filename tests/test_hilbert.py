@@ -546,6 +546,28 @@ def test_a_second_goal_or_premises_line_is_a_parse_error(text, number):
         parse_proof(text)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1. p ; tuat", "bad justification: 'tuat'"),
+        ("1. p ; axiom:Nope", "unknown axiom name: 'Nope'"),
+        ("1. p ; mp 1 x", "bad modus ponens reference: 'mp 1 x'"),
+        ("1. p ; nec x {a}", "bad necessitation reference: 'nec x {a}'"),
+        ("one. p ; taut", "bad proof line: 'one. p ; taut'"),
+        ("1. p", "missing justification on line 1"),
+        # a head with no colon is not a goal: line (it raised ValueError)
+        ("goal", "bad proof line: 'goal'"),
+        ("premises", "bad proof line: 'premises'"),
+        ("1. p -> ; taut", "unexpected 'end of input' at byte 8, "
+         "expected one of ['IDENT', 'LPAREN', 'NOT', 'POSSK']"),
+    ],
+)
+def test_every_parse_error_names_its_text_line(line, message):
+    # a comment and a blank line put the script's line 1 on line 4 of the text
+    with pytest.raises(ParseError, match=rf"^line 4: {re.escape(message)}$"):
+        parse_proof(f"goal: p\n# c\n\n{line}\n")
+
+
 # ---------------------------------------------------------------------------
 # Per-script memos: parse_proof reads each repeated parenthesised group once,
 # format_proof renders each repeated subformula once.  The references below

@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from blamelogic.syntax import (
     Neg,
     TOP,
     Var,
+    _parse_formula,
     conj,
     disj,
     iff,
@@ -144,6 +146,15 @@ _EXPECT_OPERAND = "expected one of ['IDENT', 'LPAREN', 'NOT', 'POSSK']"
          10, {"EOF"}),
         ("p -> ~K{a}\n\t", f"unexpected 'end of input' at byte 12, {_EXPECT_OPERAND}",
          12, _OPERAND),
+        # two distinct stray characters: the first in text order is named
+        ("p $ q @", "unexpected character '$' at byte 2", 2, _ANY_TOKEN),
+        # an identifier starts with a letter; digits and `_` only follow one
+        ("1p", "unexpected character '1' at byte 0", 0, _ANY_TOKEN),
+        ("p1 -> 2q", "unexpected character '2' at byte 6", 6, _ANY_TOKEN),
+        ("p -> _q", "unexpected character '_' at byte 5", 5, _ANY_TOKEN),
+        # a `-` that does not start `->`
+        ("-", "unexpected character '-' at byte 0", 0, _ANY_TOKEN),
+        ("p - > q", "unexpected character '-' at byte 2", 2, _ANY_TOKEN),
     ],
 )
 def test_parse_error_golden_table(text, message, offset, expected):
@@ -154,6 +165,44 @@ def test_parse_error_golden_table(text, message, offset, expected):
         offset,
         expected,
     )
+
+
+def _outcome(parse, text):
+    """The node parse returns, or its error's message, offset and expected set."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.offset, e.expected
+
+
+# tokens, stray characters (`-` alone, `$`, a digit or `_` first, a non-ASCII
+# letter) and spaces, Unicode ones among them, for random token soup
+_SOUP = ["p", "q", "K", "B", "true", "x_1", "->", "<->", "<K>", "~", "&", "|", "(", ")",
+         "{a,b}", "{", "}", ",", "-", "$", "1p", "_q", "\xe9"]
+_SPACES = ["", " ", "\t", "\n", "\xa0", "\u2028", "\u3000"]
+
+
+def test_a_warmed_memo_changes_no_parse_of_token_soup():
+    # a proof script parses each formula through one memo of the groups its
+    # earlier formulas parsed; seeded soup, some of it around 150-deep
+    # groups the memo holds and some nested 198-201 deep, must parse to the
+    # node or the error that parse_formula gives alone
+    rng = random.Random(1717)
+    memo = {}
+    groups = ["(" * n + "p -> q" + ")" * n for n in (1, 2, 150)] + ["(p & (q | K{a}p))"]
+    for group in groups:
+        _parse_formula(group, memo)
+    parsed = 0
+    for _ in range(3000):
+        parts = [rng.choice(_SOUP if rng.random() < 0.8 else groups) for _ in range(rng.randrange(8))]
+        text = "".join(part + rng.choice(_SPACES) for part in parts)
+        if rng.random() < 0.3:
+            n = rng.choice((48, 49, 50, 198, 199, 200, 201))
+            text = "(" * n + text + ")" * (n + rng.choice((-1, 0, 0, 1)))
+        alone = _outcome(parse_formula, text)
+        assert _outcome(lambda t: _parse_formula(t, memo), text) == alone, text
+        parsed += not isinstance(alone, tuple)
+    assert parsed > 100
 
 
 @pytest.mark.parametrize("text", [" p ->\u3000q", "p\xa0->\u2028q\t\n", "\u3000p -> q  "])
