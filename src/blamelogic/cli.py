@@ -130,8 +130,6 @@ def _cmd_gen(args):
 def _cmd_sweep(args):
     from .generator import GenParams, soundness_sweep
 
-    if args.trials < 0:
-        raise BlamelogicError("trials must be nonnegative")
     report = soundness_sweep(GenParams(seed=args.seed), args.trials)
     violations = [
         {

@@ -17,10 +17,9 @@ would.  The search works frame by frame: a frame is a game without its
 valuation, and each distinct frame gets one valuation-free Game and its
 play masks for the call.  Each distinct candidate (frame, one mask per
 variable) is evaluated once against them; a duplicate still counts against
-the budget.  A frame whose every valuation has been checked is exhausted: a
-later random candidate with that frame counts against the budget without
-drawing its valuation.  Only the countermodel returned is built as a Game
-of its own.
+the budget.  Every random candidate is drawn, frame and valuation, from one
+generator seeded once per search.  Only the countermodel returned is built
+as a Game of its own.
 """
 
 from __future__ import annotations
@@ -282,6 +281,10 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
     Also checks that validity is preserved under prefixing a knowledge
     modality (the necessitation rule read semantically).
     """
+    if type(trials) is not int:  # bool is no count
+        raise ValueError(f"trials must be an integer, not {type(trials).__name__}")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     counts = {name: 0 for name in AXIOM_NAMES}
     counts["Necessitation"] = 0
     violations = []
@@ -318,7 +321,8 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
 class SearchBudget:
     """Limits of find_countermodel: max_candidates counts every game it
     checks (the exhaustive tiny games, then random games of at most two
-    states, actions and outcomes), and seed fixes the random games."""
+    states, actions and outcomes), and seed seeds the one generator that
+    draws all the random games."""
 
     max_candidates: int = 5000
     seed: int = 0
@@ -338,15 +342,14 @@ _TINY_SHAPES = (
 )
 
 
-def _candidates(n_agents, n_vars, budget, exhausted=frozenset()):
+def _candidates(n_agents, n_vars, budget):
     """(frame, valuation masks) of each candidate, in search order: the tiny
-    frames with every valuation, then one seeded random game per draw.
+    frames with every valuation, then one random game per draw.
 
-    Random candidate k is drawn from one generator reseeded with
-    derive_seed(budget.seed, 7, k), so skipping the rest of its draws
-    changes no later candidate.  A random candidate whose frame is in
-    exhausted (read as each frame is drawn) comes as (frame, None), with
-    no valuation drawn.
+    Every random candidate draws its shape, frame and valuation, in that
+    order, from one generator seeded with derive_seed(budget.seed, 7), so
+    the stream depends only on n_agents, n_vars and the seed, and a
+    budget's candidates are a prefix of a larger budget's.
     """
     for shape in _TINY_SHAPES:
         n_states, n_actions, n_outcomes = shape
@@ -361,24 +364,21 @@ def _candidates(n_agents, n_vars, budget, exhausted=frozenset()):
                 for masks in product(range(1 << len(plays)), repeat=n_vars):
                     yield frame, masks
     num_states, num_actions, num_outcomes, branching = _RANDOM_SHAPE
-    rng = random.Random()
+    rng = random.Random(derive_seed(budget.seed, 7))
     bits = rng.getrandbits
-    for k in range(budget.max_candidates):
-        rng.seed(derive_seed(budget.seed, 7, k))  # the state of Random(that seed)
+    for _ in range(budget.max_candidates):
         shape = (
             1 + _below(bits, num_states),
             1 + _below(bits, num_actions),
             1 + _below(bits, num_outcomes),
         )
         frame = _draw_frame(rng, n_agents, shape, branching)
-        if frame in exhausted:
-            yield frame, None
-        else:
-            yield frame, _draw_valuation(rng, len(frame[2]), n_vars)
+        yield frame, _draw_valuation(rng, len(frame[2]), n_vars)
 
 
 def find_countermodel(formula: Formula, budget: SearchBudget = None):
-    """Search for (game, play index) falsifying the formula, within budget.
+    """Search for (game, play index) falsifying the formula, within budget,
+    a SearchBudget (None means the default one).
 
     Candidate games use exactly the formula's agents and variables (with
     placeholders when it has none).  Returns None when the budget is
@@ -386,15 +386,14 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
     """
     if budget is None:
         budget = SearchBudget()
+    elif not isinstance(budget, SearchBudget):
+        raise TypeError(f"budget must be a SearchBudget or None, not {type(budget).__name__}")
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
     atoms = tuple(map(Var, variables))
     frames = {}  # frame -> (its Game with no valuation, its masks, its valuations checked)
-    exhausted = set()  # frames with all 2^(plays * variables) valuations checked
-    stream = _candidates(len(agents), len(variables), budget, exhausted)
+    stream = _candidates(len(agents), len(variables), budget)
     for frame, valuation in islice(stream, budget.max_candidates):
-        if valuation is None:  # a duplicate of a checked candidate
-            continue
         entry = frames.get(frame)
         if entry is None:
             game = _build(agents, frame, {})
@@ -408,6 +407,4 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
         if missing:
             countermodel = _build(agents, frame, dict(zip(variables, valuation)))
             return countermodel, (missing & -missing).bit_length() - 1
-        if len(checked) == 1 << (len(frame[2]) * len(variables)):
-            exhausted.add(frame)
     return None

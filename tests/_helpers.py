@@ -412,11 +412,11 @@ def _reference_tiny_games(agents, variables):
 
 def reference_candidates(agents, variables, budget):
     """Every candidate Game of the search, in order: the tiny games, then
-    one seeded random game per draw."""
+    one random game per draw, all from one seeded generator."""
     yield from _reference_tiny_games(agents, variables)
     num_states, num_actions, num_outcomes, branching = _REFERENCE_RANDOM_SHAPE
-    for k in range(budget.max_candidates):
-        rng = random.Random(derive_seed(budget.seed, 7, k))
+    rng = random.Random(derive_seed(budget.seed, 7))
+    for _ in range(budget.max_candidates):
         yield _reference_random_game(
             rng,
             agents,

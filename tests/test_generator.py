@@ -25,7 +25,7 @@ from blamelogic.generator import (
     soundness_sweep,
 )
 from blamelogic.hilbert import AXIOM_NAMES, match_schema
-from blamelogic.syntax import parse_formula, print_formula
+from blamelogic.syntax import Var, parse_formula, print_formula
 
 
 def test_params_bounds_enforced():
@@ -115,6 +115,24 @@ def test_sweep_zero_trials_is_empty():
     assert all(count == 0 for count in report.counts.values())
 
 
+@pytest.mark.parametrize(
+    "trials, message",
+    [
+        (-3, "^trials must be nonnegative$"),
+        (-1, "^trials must be nonnegative$"),
+        (True, "^trials must be an integer"),
+        (False, "^trials must be an integer"),
+        (1.5, "^trials must be an integer"),
+        (2.0, "^trials must be an integer"),
+        ("2", "^trials must be an integer"),
+        (None, "^trials must be an integer"),
+    ],
+)
+def test_sweep_rejects_trials_that_are_no_count(trials, message):
+    with pytest.raises(ValueError, match=message):
+        soundness_sweep(GenParams(), trials)
+
+
 def test_sweep_counts_are_read_only():
     report = soundness_sweep(GenParams(seed=1), 1)
     with pytest.raises(TypeError):
@@ -178,6 +196,12 @@ def test_countermodel_for_blame_without_knowledge():
 
 def test_no_countermodel_for_truth_axiom():
     assert find_countermodel(parse_formula("K{a}p -> p"), SearchBudget(1500)) is None
+
+
+@pytest.mark.parametrize("budget", [5, 1.5, "5000", (5000, 0), {"max_candidates": 5}])
+def test_search_rejects_a_budget_that_is_no_search_budget(budget):
+    with pytest.raises(TypeError, match="^budget must be a SearchBudget or None, not "):
+        find_countermodel(Var("p"), budget)
 
 
 def test_countermodel_for_bare_variable_is_among_first_candidates():
@@ -324,23 +348,9 @@ def test_below_takes_the_draws_of_randrange_choice_and_randint():
         assert ours.getstate() == theirs.getstate(), seed
 
 
-def test_exhausted_frames_skip_only_their_valuation_draws(monkeypatch):
-    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
-    budget = SearchBudget(300, 5)
-    full = list(generator._candidates(2, 1, budget))
-    frames = [frame for frame, _ in full]
-    repeated = {frame for frame in frames if frames.count(frame) > 1}
-    assert repeated
-    skipped = list(generator._candidates(2, 1, budget, repeated))
-    assert skipped == [
-        (frame, None if frame in repeated else masks) for frame, masks in full
-    ]
-
-
-def test_truth_search_draws_valuations_only_for_frames_not_exhausted(monkeypatch):
+def test_truth_search_draws_a_valuation_for_every_random_candidate(monkeypatch):
     # Truth-K with one agent and one variable exhausts the default budget:
-    # 610 tiny games check every valuation of their frames, and of the 4390
-    # random candidates, 3812 have a frame whose valuations were all checked
+    # 610 tiny games, then 4390 random candidates, each drawn whole
     drawn = []
     draw_valuation = generator._draw_valuation
 
@@ -352,8 +362,35 @@ def test_truth_search_draws_valuations_only_for_frames_not_exhausted(monkeypatch
     formula = parse_formula("K{a}p -> p")
     budget = SearchBudget()
     assert find_countermodel(formula, budget) is None
-    assert len(drawn) == 578
+    assert len(drawn) == 4390
     assert reference_find_countermodel(formula, budget) is None
+
+
+def test_random_frames_come_from_one_generator_whatever_the_formula(monkeypatch):
+    # two sound formulas over one agent and one variable meet the same
+    # frames, in the order in which one generator, seeded once, draws them
+    # along with their shapes and valuations
+    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
+    met = []
+    draw_frame = generator._draw_frame
+
+    def recorded(*args):
+        met[-1].append(draw_frame(*args))
+        return met[-1][-1]
+
+    monkeypatch.setattr(generator, "_draw_frame", recorded)
+    for seed in (0, 5):
+        budget = SearchBudget(300, seed)
+        for text in ("K{a}p -> p", "B{a}p -> p"):
+            met.append([])
+            assert find_countermodel(parse_formula(text), budget) is None
+        rng = random.Random(derive_seed(seed, 7))
+        expected = []
+        for _ in range(budget.max_candidates):
+            shape = tuple(rng.randint(1, 2) for _ in range(3))
+            expected.append(draw_frame(rng, 1, shape, 0.15))
+            generator._draw_valuation(rng, len(expected[-1][2]), 1)
+        assert met[-2] == met[-1] == expected, seed
 
 
 def test_random_phase_with_repeated_frames_returns_what_a_game_per_candidate_search_returns(
@@ -361,7 +398,7 @@ def test_random_phase_with_repeated_frames_returns_what_a_game_per_candidate_sea
 ):
     # a one-play frame has two valuations and comes about once in eight
     # draws, so these countermodels often come after its other valuation
-    # was checked: a frame may be skipped only once every valuation has been
+    # was checked: only a candidate already checked may be skipped
     monkeypatch.setattr(generator, "_TINY_SHAPES", ())
     monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
     for text in ("~K{a}p", "~K{}p"):
