@@ -203,11 +203,20 @@ def _classes(game: Game, masks: _Masks, coalition) -> tuple:
     return classes
 
 
+def _coalition(coalition) -> frozenset:
+    """The coalition, any iterable of agent names, as a frozenset.  A str or
+    bytes is a TypeError: it would read as the set of its characters."""
+    if isinstance(coalition, (str, bytes)):
+        raise TypeError(f"coalition must be a collection of agent names, not {coalition!r}")
+    return frozenset(coalition)
+
+
 def indistinguishable(game: Game, coalition, s1: str, s2: str) -> bool:
     """True iff s1 and s2 have the same key under the coalition.
 
     The empty coalition relates any two states.
     """
+    coalition = _coalition(coalition)
     for s in (s1, s2):
         if s not in game.states:
             raise UnknownStateError(f"unknown state: {s}")

@@ -5,7 +5,9 @@ Everything here is a pure function of its parameters: the same GenParams
 (seed included) always yields the same game or formula.  The sweep
 instantiates every axiom schema over generated games and computes each
 instance's extension over all plays; any falsifying play is reported as a
-violation witness that can be replayed.  Countermodel search enumerates tiny game
+violation witness that can be replayed.  A trial's instances are all built
+from one phi, psi and game, so they share one memo of subformula masks,
+made for the trial and dropped with it.  Countermodel search enumerates tiny game
 shapes exhaustively (smallest first) and then falls back to seeded random
 games until the candidate budget runs out.
 
@@ -269,9 +271,14 @@ def _sweep_instances(rng, agents, phi, psi):
     ]
 
 
-def _falsified(game: Game, formula: Formula) -> list:
-    """Indices of the plays at which the formula fails, ascending."""
-    missing = game._masks.full & ~semantics.extension_mask(game, formula)
+def _falsified(game: Game, formula: Formula, memo: dict) -> list:
+    """Indices of the plays at which the formula fails, ascending.
+
+    memo is the trial's node -> mask map over this game's plays, shared by
+    all of the trial's checks.
+    """
+    masks = game._masks
+    missing = masks.full & ~semantics._ext(formula, masks.full, game, masks, memo)
     return _indices(missing) if missing else []  # valid is the usual case
 
 
@@ -279,7 +286,10 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
     """Instantiate every axiom over generated games; report any falsifying play.
 
     Also checks that validity is preserved under prefixing a knowledge
-    modality (the necessitation rule read semantically).
+    modality (the necessitation rule read semantically).  A trial's axiom
+    instances and necessitation checks share one memo of subformula masks
+    over that trial's game, so phi, psi and their modal lifts are each
+    computed once per trial; the memo is dropped with the trial.
     """
     if type(trials) is not int:  # bool is no count
         raise ValueError(f"trials must be an integer, not {type(trials).__name__}")
@@ -298,15 +308,16 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
         )
         rng = random.Random(derive_seed(params.seed, trial, 3))
         n = len(game.plays)
+        memo = {}  # masks over this game's plays: dies with the trial
         for name, instance in _sweep_instances(rng, game.agents, phi, psi):
             counts[name] += n
-            for idx in _falsified(game, instance):
+            for idx in _falsified(game, instance, memo):
                 violations.append(SweepViolation(name, trial, game, idx, instance))
-        if not _falsified(game, phi):
+        if not _falsified(game, phi, memo):
             for coalition in _all_coalitions(game.agents):
                 lifted = Knows(coalition, phi)
                 counts["Necessitation"] += n
-                for idx in _falsified(game, lifted):
+                for idx in _falsified(game, lifted, memo):
                     violations.append(
                         SweepViolation("Necessitation", trial, game, idx, lifted)
                     )

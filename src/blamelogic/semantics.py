@@ -28,15 +28,17 @@ strategies.  A choice matching no play of the class prevents vacuously.
 
 Per call the work is O(|formula| * |plays| / word size) plus the blame
 walks, where |formula| counts distinct subformulas: formulas are interned
-(equal subtrees are one node), and a per-call memo keyed by node evaluates
-each once.  Every public function is a view of one mask.
+(equal subtrees are one node), and a memo keyed by node evaluates each
+once.  The memo lives for one call; semantic_entailment shares one between
+its hypotheses and conclusion, and the soundness sweep one between the
+instances of a trial.  Every public function is a view of one mask.
 """
 
 from __future__ import annotations
 
 from .errors import PlayNotInGameError
 # _ext reads _classes from this module's globals, where a test may patch it
-from .game import Game, Play, Strategy, _classes, _indices, _Masks
+from .game import Game, Play, Strategy, _classes, _coalition, _indices, _Masks
 from .syntax import Blames, Formula, Implies, Knows, Neg, Var
 
 
@@ -68,10 +70,11 @@ def extension_mask(game: Game, formula: Formula) -> int:
 def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
     """Mask of f over the index space whose set bits are full.
 
-    memo maps each node seen within one call to its mask, so an equal
-    subtree is computed once.  extension_mask passes the game's play masks;
-    a tautology check passes truth-table rows as the index space and every
-    atom's mask in memo, with no game, so only the connectives are read.
+    memo maps each node already computed over this index space to its
+    mask, so an equal subtree is computed once.  extension_mask passes the
+    game's play masks; a tautology check passes truth-table rows as the
+    index space and every atom's mask in memo, with no game, so only the
+    connectives are read.
     """
     mask = memo.get(f)
     if mask is not None:
@@ -136,7 +139,7 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
     declared in the game.  Returns None exactly when the blame modality is
     false at the play.
     """
-    coalition = frozenset(coalition)
+    coalition = _coalition(coalition)
     true = extension_mask(game, formula)
     masks = game._masks
     classes = _classes(game, masks, coalition)  # raises on an unknown member
@@ -153,7 +156,10 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
 
 def semantic_entailment(game: Game, hypotheses, formula: Formula) -> bool:
     """True iff every play satisfying all hypotheses also satisfies formula."""
-    hyps = game._masks.full
+    masks = game._masks
+    full = masks.full
+    memo = {}  # the hypotheses and the conclusion share subformulas
+    hyps = full
     for h in hypotheses:
-        hyps &= extension_mask(game, h)
-    return not hyps & ~extension_mask(game, formula)
+        hyps &= _ext(h, full, game, masks, memo)
+    return not hyps & ~_ext(formula, full, game, masks, memo)

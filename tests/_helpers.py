@@ -9,14 +9,27 @@ per candidate; the frame-by-frame search must return exactly its results.
 reference_validate_game is the validator as first written, one pass over the
 plays with a duplicate key and a totality key per play; the count-based
 validator must report exactly its violations and warnings, in its order.
+reference_soundness_sweep is the sweep as first written, one fresh
+extension_mask call per axiom instance and necessitation check; the sweep
+that shares one memo per trial must return an equal report.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import islice, product
+from types import MappingProxyType
 
 from blamelogic.game import Game, Play, ValidationReport
-from blamelogic.generator import derive_seed
+from blamelogic.generator import (
+    SweepReport,
+    SweepViolation,
+    _all_coalitions,
+    _sweep_instances,
+    derive_seed,
+    gen_formula,
+    gen_game,
+)
 from blamelogic.hilbert import (
     AXIOM_NAMES,
     Axiom,
@@ -438,3 +451,39 @@ def reference_find_countermodel(formula, budget):
         if missing:
             return game, next(i for i in range(len(game.plays)) if missing >> i & 1)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference soundness sweep
+
+
+def _reference_falsified(game, formula):
+    missing = ((1 << len(game.plays)) - 1) & ~extension_mask(game, formula)
+    return [i for i in range(len(game.plays)) if missing >> i & 1]
+
+
+def reference_soundness_sweep(params, trials):
+    """The sweep's report, each instance decided by its own extension_mask
+    call (a fresh memo per instance)."""
+    counts = {name: 0 for name in AXIOM_NAMES}
+    counts["Necessitation"] = 0
+    violations = []
+    for trial in range(trials):
+        game = gen_game(replace(params, seed=derive_seed(params.seed, trial, 0)))
+        phi, psi = (
+            gen_formula(replace(params, seed=derive_seed(params.seed, trial, k)), game.agents)
+            for k in (1, 2)
+        )
+        rng = random.Random(derive_seed(params.seed, trial, 3))
+        n = len(game.plays)
+        for name, instance in _sweep_instances(rng, game.agents, phi, psi):
+            counts[name] += n
+            for idx in _reference_falsified(game, instance):
+                violations.append(SweepViolation(name, trial, game, idx, instance))
+        if not _reference_falsified(game, phi):
+            for coalition in _all_coalitions(game.agents):
+                lifted = Knows(coalition, phi)
+                counts["Necessitation"] += n
+                for idx in _reference_falsified(game, lifted):
+                    violations.append(SweepViolation("Necessitation", trial, game, idx, lifted))
+    return SweepReport(trials, MappingProxyType(counts), tuple(violations))

@@ -185,6 +185,29 @@ def test_sweep_detects_a_corrupted_evaluator(monkeypatch):
         assert not semantics.evaluate(v.game, v.game.plays[v.play_index], v.formula)
 
 
+# one, two and three agents; deeper formulas share more subformulas
+_SWEPT = [
+    GenParams(num_agents=k, formula_depth=depth, seed=seed)
+    for k in (1, 2, 3)
+    for depth, seed in ((2, 3), (3, 17), (4, 2024))
+]
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["engine", "identity_empty_classes"])
+def test_sweep_returns_what_a_memo_per_instance_sweep_returns(mutated, monkeypatch):
+    # the trial's shared memo must change no count and no violation (schema,
+    # trial, play, formula, game); a memo kept across trials would read one
+    # game's masks on the next
+    if mutated:
+        monkeypatch.setattr(semantics, "_classes", identity_empty_classes(semantics._classes))
+    violations = 0
+    for params in _SWEPT:
+        report = soundness_sweep(params, 25)
+        assert report == _helpers.reference_soundness_sweep(params, 25), params
+        violations += len(report.violations)
+    assert bool(violations) == mutated
+
+
 def test_countermodel_for_blame_without_knowledge():
     res = find_countermodel(parse_formula("B{a}p -> K{a}p"))
     assert res is not None
@@ -225,19 +248,19 @@ def test_countermodel_games_are_valid():
 
 
 def test_sweep_reads_the_engine_mask(monkeypatch):
-    # every instance is decided by one extension mask over the game's plays
+    # every instance is decided by the engine's mask (_ext) over the game's plays
     calls = []
 
-    def full(game, formula):
+    def full(formula, full, game, masks, memo):
         calls.append(formula)
-        return (1 << len(game.plays)) - 1
+        return full
 
-    monkeypatch.setattr(semantics, "extension_mask", full)
+    monkeypatch.setattr(semantics, "_ext", full)
     report = soundness_sweep(GenParams(seed=4), 2)
     assert report.ok
     assert calls
 
-    monkeypatch.setattr(semantics, "extension_mask", lambda game, formula: 0)
+    monkeypatch.setattr(semantics, "_ext", lambda formula, full, game, masks, memo: 0)
     broken = soundness_sweep(GenParams(seed=4), 1)
     # phi is no longer valid, so necessitation is skipped and every other
     # checked play is a violation

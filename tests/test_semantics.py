@@ -73,6 +73,25 @@ def test_blame_witness_none_under_imperfect_information(truck_manual):
     assert w is None
 
 
+@pytest.mark.parametrize("coalition", ["c", "cc", b"c"])
+def test_coalition_given_as_a_string_is_a_type_error(truck_selfdriving, coalition):
+    # a str would read as the set of its characters: "cc" as {"c"}
+    g = truck_selfdriving
+    with pytest.raises(TypeError, match="^coalition must be a collection of agent names"):
+        blame_witness(g, g.plays[3], coalition, parse_formula("col"))
+    with pytest.raises(TypeError, match="^coalition must be a collection of agent names"):
+        indistinguishable(g, coalition, "high", "low")
+
+
+@pytest.mark.parametrize("coalition", [{"c"}, ["c"], ("c",), frozenset({"c"})])
+def test_coalition_of_any_collection_of_names(truck_selfdriving, coalition):
+    g = truck_selfdriving
+    w = blame_witness(g, g.plays[3], coalition, parse_formula("col"))
+    assert w.coalition == frozenset({"c"})
+    assert w.choice == {"c": "speed-up"}
+    assert not indistinguishable(g, coalition, "high", "low")
+
+
 def test_blame_witness_empty_coalition_never(truck_manual):
     play = truck_manual.plays[3]
     assert evaluate(truck_manual, play, parse_formula("col"))
