@@ -205,10 +205,14 @@ def _classes(game: Game, masks: _Masks, coalition) -> tuple:
 
 def _coalition(coalition) -> frozenset:
     """The coalition, any iterable of agent names, as a frozenset.  A str or
-    bytes is a TypeError: it would read as the set of its characters."""
+    bytes is a TypeError: it would read as the set of its characters; so is
+    a member that is not a str, as in Knows and Blames."""
     if isinstance(coalition, (str, bytes)):
         raise TypeError(f"coalition must be a collection of agent names, not {coalition!r}")
-    return frozenset(coalition)
+    coalition = frozenset(coalition)
+    if not all(isinstance(agent, str) for agent in coalition):
+        raise TypeError(f"coalition members must be str agent names: {coalition!r}")
+    return coalition
 
 
 def indistinguishable(game: Game, coalition, s1: str, s2: str) -> bool:

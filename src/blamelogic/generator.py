@@ -11,17 +11,17 @@ made for the trial and dropped with it.  Countermodel search enumerates tiny gam
 shapes exhaustively (smallest first) and then falls back to seeded random
 games until the candidate budget runs out.
 
-A random game is drawn as small ints, frame then valuation (_draw_frame,
-_draw_valuation), and then built (_build); gen_game does all three, and the
-search only draws.  Integer draws read getrandbits through _below, CPython's
-own _randbelow loop, so they take the values randrange, choice and randint
-would.  The search works frame by frame: a frame is a game without its
-valuation, and each distinct frame gets one valuation-free Game and its
-play masks for the call.  Each distinct candidate (frame, one mask per
-variable) is evaluated once against them; a duplicate still counts against
-the budget.  Every random candidate is drawn, frame and valuation, from one
-generator seeded once per search.  Only the countermodel returned is built
-as a Game of its own.
+A random game is drawn as small ints, frame then valuation, in one call
+(_draw), and then built (_build); gen_game draws and builds, and the search
+only draws.  Integer draws read getrandbits with CPython's own _randbelow
+loop (_below, which _draw writes out in its loops), so they take the values
+randrange, choice and randint would.  The search works frame by frame: a
+frame is a game without its valuation, and each distinct frame gets one
+valuation-free Game and its play masks for the call.  Each distinct
+candidate (frame, one mask per variable) is evaluated once against them; a
+duplicate still counts against the budget.  Every random candidate is drawn,
+shape, frame and valuation, from one generator seeded once per search.
+Only the countermodel returned is built as a Game of its own.
 """
 
 from __future__ import annotations
@@ -105,16 +105,6 @@ def _below(bits, n):
     return r
 
 
-def _draw_partition(bits, n_states):
-    """Block label of each state in a random partition, numbered by first
-    appearance, so that equal partitions get equal labels."""
-    if n_states == 1:
-        return (0,)
-    count = 1 + _below(bits, n_states)
-    first = {}
-    return tuple(first.setdefault(_below(bits, count), len(first)) for _ in range(n_states))
-
-
 def _profiles(agents, actions):
     """Every complete profile, in product order, one dict each.
 
@@ -124,31 +114,57 @@ def _profiles(agents, actions):
     return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
 
 
-def _draw_frame(rng, n_agents, shape, branching):
-    """The frame of one random game as small ints.
+def _draw(rng, n_agents, shape, branching, n_vars):
+    """One random game as small ints: (frame, one valuation mask per variable).
 
-    shape is (states, actions, outcomes).  The frame is (shape, each
-    agent's block labels, each play's (state, profile, outcome) ids), where
-    profile ids count in _profiles order.
+    shape is (states, actions, outcomes).  The frame is (shape, each agent's
+    block labels, each play's (state, profile, outcome) ids).  An agent's
+    partition's labels number its blocks by first appearance, so that equal
+    partitions get equal labels; profile ids count in _profiles order; bit i
+    of a mask is play i.  The draws are partitions, then plays, then masks,
+    each integer draw _below's loop written out.
     """
     bits, random = rng.getrandbits, rng.random
     n_states, n_actions, n_outcomes = shape
-    parts = tuple(_draw_partition(bits, n_states) for _ in range(n_agents))
+    if n_states == 1:
+        parts = ((0,),) * n_agents
+    else:
+        parts = []
+        k = n_states.bit_length()
+        for _ in range(n_agents):
+            count = bits(k)
+            while count >= n_states:
+                count = bits(k)
+            count += 1
+            j = count.bit_length()
+            first = {}
+            labels = []
+            for _ in range(n_states):
+                r = bits(j)
+                while r >= count:
+                    r = bits(j)
+                labels.append(first.setdefault(r, len(first)))
+            parts.append(tuple(labels))
+        parts = tuple(parts)
     plays = []
+    k = n_outcomes.bit_length()
     for state in range(n_states):
         for profile in range(n_actions**n_agents):
-            first = _below(bits, n_outcomes)
-            plays.append((state, profile, first))
+            outcome = bits(k)
+            while outcome >= n_outcomes:
+                outcome = bits(k)
+            plays.append((state, profile, outcome))
             for extra in range(n_outcomes):
-                if extra != first and random() < branching:
+                if extra != outcome and random() < branching:
                     plays.append((state, profile, extra))
-    return shape, parts, tuple(plays)
-
-
-def _draw_valuation(rng, n_plays, n_vars):
-    """One mask per variable, drawn after the frame; bit i is play i."""
-    random = rng.random
-    return tuple(sum(1 << i for i in range(n_plays) if random() < 0.5) for _ in range(n_vars))
+    masks = []
+    for _ in range(n_vars):
+        mask = 0
+        for i in range(len(plays)):
+            if random() < 0.5:
+                mask |= 1 << i
+        masks.append(mask)
+    return (shape, parts, tuple(plays)), tuple(masks)
 
 
 def _build(agents, frame, valuation):
@@ -174,8 +190,7 @@ def gen_game(params: GenParams) -> Game:
     agents = AGENT_POOL[: params.num_agents]
     shape = (params.num_states, params.num_actions, params.num_outcomes)
     rng = random.Random(params.seed)
-    frame = _draw_frame(rng, len(agents), shape, params.branching)
-    masks = _draw_valuation(rng, len(frame[2]), params.num_variables)
+    frame, masks = _draw(rng, len(agents), shape, params.branching, params.num_variables)
     variables = (f"p{i}" for i in range(params.num_variables))
     return _build(agents, frame, dict(zip(variables, masks)))
 
@@ -357,10 +372,11 @@ def _candidates(n_agents, n_vars, budget):
     """(frame, valuation masks) of each candidate, in search order: the tiny
     frames with every valuation, then one random game per draw.
 
-    Every random candidate draws its shape, frame and valuation, in that
-    order, from one generator seeded with derive_seed(budget.seed, 7), so
-    the stream depends only on n_agents, n_vars and the seed, and a
-    budget's candidates are a prefix of a larger budget's.
+    Every random candidate draws its shape (through _below), then its frame
+    and valuation (one _draw call), from one generator seeded with
+    derive_seed(budget.seed, 7), so the stream depends only on n_agents,
+    n_vars and the seed, and a budget's candidates are a prefix of a larger
+    budget's.
     """
     for shape in _TINY_SHAPES:
         n_states, n_actions, n_outcomes = shape
@@ -383,8 +399,7 @@ def _candidates(n_agents, n_vars, budget):
             1 + _below(bits, num_actions),
             1 + _below(bits, num_outcomes),
         )
-        frame = _draw_frame(rng, n_agents, shape, branching)
-        yield frame, _draw_valuation(rng, len(frame[2]), n_vars)
+        yield _draw(rng, n_agents, shape, branching, n_vars)
 
 
 def find_countermodel(formula: Formula, budget: SearchBudget = None):

@@ -155,7 +155,15 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
 
 
 def semantic_entailment(game: Game, hypotheses, formula: Formula) -> bool:
-    """True iff every play satisfying all hypotheses also satisfies formula."""
+    """True iff every play satisfying all hypotheses also satisfies formula.
+
+    hypotheses is a collection of formulas; a single formula, str or bytes
+    is a TypeError.
+    """
+    if isinstance(hypotheses, (Formula, str, bytes)):
+        raise TypeError(
+            f"hypotheses must be a collection of formulas, not {type(hypotheses).__name__}"
+        )
     masks = game._masks
     full = masks.full
     memo = {}  # the hypotheses and the conclusion share subformulas

@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -80,6 +80,38 @@ def test_generation_is_deterministic():
     assert gen_game(params) == gen_game(params)
     assert gen_formula(params, ("a", "b")) == gen_formula(params, ("a", "b"))
     assert gen_game(params) != gen_game(GenParams(seed=100, branching=0.4))
+
+
+def test_gen_game_draws_the_reference_game():
+    # gen_game(p) is the game that an independent reference, one rng call per
+    # draw, takes from random.Random(p.seed), over every bound of GenParams
+    rng = random.Random(2024)
+    for n_agents, n_states, n_actions, n_outcomes, branching in product(
+        (1, 2, 3), (1, 2, 3, 4), (1, 2, 3), (1, 2, 3), (0, 0.15, 0.5, 1)
+    ):
+        params = GenParams(
+            num_agents=n_agents,
+            num_states=n_states,
+            num_actions=n_actions,
+            num_outcomes=n_outcomes,
+            num_variables=rng.randint(1, 4),
+            branching=branching,
+            seed=rng.choice((0, 2**64 - 1, rng.getrandbits(64))),
+        )
+        states, actions, outcomes, variables = (
+            tuple(f"{c}{i}" for i in range(n))
+            for c, n in zip("sdop", (n_states, n_actions, n_outcomes, params.num_variables))
+        )
+        expected = _helpers._reference_random_game(
+            random.Random(params.seed),
+            AGENT_POOL[:n_agents],
+            states,
+            actions,
+            outcomes,
+            variables,
+            branching,
+        )
+        assert gen_game(params) == expected, params
 
 
 def test_generated_games_validate():
@@ -360,8 +392,9 @@ def test_candidates_build_the_reference_games_in_order(agents, variables, tiny, 
 
 
 def test_below_takes_the_draws_of_randrange_choice_and_randint():
-    # the search and gen_game read getrandbits through _below; a CPython whose
-    # randrange, choice or randint draw otherwise would change every game
+    # the search's shapes read getrandbits through _below, and _draw writes
+    # its loop out; a CPython whose randrange, choice or randint draw
+    # otherwise would change every game
     for seed in range(200):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in range(1, 10):
@@ -375,13 +408,13 @@ def test_truth_search_draws_a_valuation_for_every_random_candidate(monkeypatch):
     # Truth-K with one agent and one variable exhausts the default budget:
     # 610 tiny games, then 4390 random candidates, each drawn whole
     drawn = []
-    draw_valuation = generator._draw_valuation
+    draw = generator._draw
 
     def counted(*args):
         drawn.append(args)
-        return draw_valuation(*args)
+        return draw(*args)
 
-    monkeypatch.setattr(generator, "_draw_valuation", counted)
+    monkeypatch.setattr(generator, "_draw", counted)
     formula = parse_formula("K{a}p -> p")
     budget = SearchBudget()
     assert find_countermodel(formula, budget) is None
@@ -395,25 +428,27 @@ def test_random_frames_come_from_one_generator_whatever_the_formula(monkeypatch)
     # along with their shapes and valuations
     monkeypatch.setattr(generator, "_TINY_SHAPES", ())
     met = []
-    draw_frame = generator._draw_frame
+    draw = generator._draw
 
     def recorded(*args):
-        met[-1].append(draw_frame(*args))
+        met[-1].append(draw(*args))
         return met[-1][-1]
 
-    monkeypatch.setattr(generator, "_draw_frame", recorded)
+    monkeypatch.setattr(generator, "_draw", recorded)
     for seed in (0, 5):
         budget = SearchBudget(300, seed)
         for text in ("K{a}p -> p", "B{a}p -> p"):
             met.append([])
             assert find_countermodel(parse_formula(text), budget) is None
+        assert met[-2] == met[-1], seed
         rng = random.Random(derive_seed(seed, 7))
         expected = []
         for _ in range(budget.max_candidates):
-            shape = tuple(rng.randint(1, 2) for _ in range(3))
-            expected.append(draw_frame(rng, 1, shape, 0.15))
-            generator._draw_valuation(rng, len(expected[-1][2]), 1)
-        assert met[-2] == met[-1] == expected, seed
+            shape = [rng.randint(1, 2) for _ in range(3)]
+            names = [tuple(f"{c}{i}" for i in range(n)) for c, n in zip("sdo", shape)]
+            expected.append(_helpers._reference_random_game(rng, ("a",), *names, ("p",), 0.15))
+        built = [generator._build(("a",), frame, {"p": mask}) for frame, (mask,) in met[-1]]
+        assert built == expected, seed
 
 
 def test_random_phase_with_repeated_frames_returns_what_a_game_per_candidate_search_returns(

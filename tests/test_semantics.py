@@ -83,6 +83,16 @@ def test_coalition_given_as_a_string_is_a_type_error(truck_selfdriving, coalitio
         indistinguishable(g, coalition, "high", "low")
 
 
+@pytest.mark.parametrize("coalition", [{1, "c"}, ["c", None], (b"c",), frozenset({("c",)})])
+def test_coalition_member_that_is_no_str_is_a_type_error(truck_selfdriving, coalition):
+    # the message Knows and Blames give, not a failure inside sorted
+    g = truck_selfdriving
+    with pytest.raises(TypeError, match="^coalition members must be str agent names"):
+        blame_witness(g, g.plays[3], coalition, parse_formula("col"))
+    with pytest.raises(TypeError, match="^coalition members must be str agent names"):
+        indistinguishable(g, coalition, "high", "low")
+
+
 @pytest.mark.parametrize("coalition", [{"c"}, ["c"], ("c",), frozenset({"c"})])
 def test_coalition_of_any_collection_of_names(truck_selfdriving, coalition):
     g = truck_selfdriving
@@ -105,6 +115,22 @@ def test_entailment_examples(truck_manual):
     assert not semantic_entailment(
         truck_manual, [parse_formula("col")], parse_formula("K{}col")
     )
+
+
+@pytest.mark.parametrize(
+    "hypotheses, kind",
+    [
+        (parse_formula("col"), "Var"),
+        (parse_formula("~col"), "Neg"),
+        ("col", "str"),
+        (b"col", "bytes"),
+    ],
+)
+def test_entailment_hypotheses_that_are_no_collection(truck_manual, hypotheses, kind):
+    # one formula or a str would be iterated as its parts or its characters
+    message = f"^hypotheses must be a collection of formulas, not {kind}$"
+    with pytest.raises(TypeError, match=message):
+        semantic_entailment(truck_manual, hypotheses, parse_formula("col"))
 
 
 def test_unknown_agent_rejected(truck_manual):
