@@ -22,7 +22,7 @@ import sys
 import time
 
 from .bundle import asset_path
-from .errors import BlamelogicError
+from .errors import BlamelogicError, ParseError
 from .game import game_to_document, load_game
 from .semantics import blame_witness, evaluate, extension, is_valid, semantic_entailment
 from .syntax import Blames, parse_formula, print_formula
@@ -117,6 +117,10 @@ def _cmd_deduce(args):
 
     script = parse_proof(_read_input(args.script))
     text = format_proof(deduction_transform(script, parse_formula(args.phi)))
+    try:  # a discharged line can pass the parser's bounds; prove must read what deduce prints
+        parse_proof(text)
+    except ParseError as e:
+        raise BlamelogicError(f"the deduced script does not parse: {e}") from None
     return {"verdict": "ok", "data": {"script": text}}, 0, text.rstrip("\n")
 
 

@@ -7,7 +7,7 @@ depend on any premise, which realizes the split between plain theorems and
 derivations from hypotheses in one checker: hypothesis-mode reasoning is
 exactly modus ponens over premises and theorems.  A discharged script
 repeats lines inside later ones, so parse_proof and format_proof keep one
-memo per call, of the groups parsed and the subformulas printed.
+memo per call, of the formula texts parsed and the subformulas printed.
 
 Tautology checking reads a formula as a Boolean combination of its modal
 atoms (maximal Var/Knows/Blames subformulas) and decides truth under all
@@ -435,7 +435,7 @@ def parse_proof(text: str) -> ProofScript:
     """
     heads = {}  # "premises" and "goal" -> what their one line gives
     lines = []
-    parse = partial(_parse_formula, memo={})  # one group memo for the script
+    parse = partial(_parse_formula, memo={})  # one formula-text memo for the script
     for number, raw in enumerate(text.splitlines(), 1):
         code = raw.split("#", 1)[0]
         stripped = code.strip()

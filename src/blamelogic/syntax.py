@@ -24,23 +24,28 @@ stay within reach of the recursive walks.  The helpers that walk a formula
 visit each distinct node once, so their time is linear in the shared graph
 however often `<->` reuses its operands.
 
-One compiled regular expression splits the text into token texts, and a
-text with a character that is neither space nor in a token is refused.  One
-precedence-climbing method reads the texts by index: the table _BINARY
-gives each binary operator its precedence, associativity and builder, and
-the prefix operators, atoms and parentheses are read by recursive descent.
-The parser rejects any formula whose AST, after sugar expansion, is more
-than MAX_DEPTH levels deep, so that printing and evaluating a parsed
-formula (both recursive) stay far below the interpreter's recursion limit.
-It also rejects an AST of more than MAX_NODES nodes counted as a tree:
-`<->` uses each operand twice, so printed text doubles with each nesting,
-and text like `p <-> p <-> ... <-> p` would otherwise parse quickly into a
-formula that takes seconds to print.  Both checks read the root's stored
-size and depth.  One list of the parentheses open after each token rejects
-the MAX_DEPTH-th, so the texts the parser accepts do not depend on the
-caller's stack depth.  A proof script is parsed with one memo of its groups
-(parse_formula has none): a group parsed before is skipped, and refused if
-its deepest parenthesis is.
+One compiled regular expression splits a text into token texts, and a
+character that is neither space nor in a token is refused.  One
+precedence-climbing method reads the texts by index (_BINARY gives each
+binary operator its precedence, associativity and builder); prefix
+operators, atoms and parentheses are read by recursive descent.  The bounds
+of parse_formula read the root's stored depth and size: MAX_DEPTH keeps
+printing and evaluating a parsed formula far below the recursion limit,
+and MAX_NODES keeps `p <-> p <-> ... <-> p`, which doubles with each `<->`,
+from parsing quickly into a formula that takes seconds to print.  A list
+of the parentheses open after each token refuses the MAX_DEPTH-th, so what
+parses does not depend on the caller's stack depth.
+
+parse_proof reads a script's texts through one memo (parse_formula has
+none) from the stripped text of each formula span read to its formula and
+the deepest parenthesis nesting inside it.  A span is a whole text, a
+group's inside or, in a text with no `<->` (the one operator that ends a
+right operand early), the right operand of a `->` up to the end of its
+group or text.  Spans are looked up before they are scanned: one pass
+pairs the text's parentheses, so a hit group is skipped to its `)`, and
+only text outside hits is split into tokens.  The bounds hold on this
+path; if it fails, the text is parsed again without the memo, so every
+error is parse_formula's.  Other spacing makes another key.
 """
 
 from __future__ import annotations
@@ -59,17 +64,16 @@ IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 RESERVED_WORDS = frozenset({"true", "false"})
 MAX_DEPTH = 200  # deepest AST that parse_formula returns
 MAX_NODES = 10**5  # most AST nodes, counted as a tree, that parse_formula returns
-# deepest node any constructor builds: room for what the proof tools build
-# from parsed lines, and far enough below the interpreter's default recursion
-# limit that the recursive walks (printing, evaluation, pickling) finish
+# deepest node any constructor builds: room for what the proof tools build from
+# parsed lines, and far enough below the default recursion limit for the walks
 MAX_NODE_DEPTH = 300
 
 
-# The unique table: (class, *fields) -> a weak reference to the one live
-# node with those fields.  Children are fields, and they compare by
-# identity, so one dict lookup per constructor call finds an equal node.
-# The references have no callbacks (a callback per node costs microseconds);
-# dead entries stay until the table has doubled since the last sweep.
+# The unique table: (class, *fields) -> a weak reference to the one live node
+# with those fields.  Children are fields and compare by identity, so one dict
+# lookup per constructor call finds an equal node.  The references have no
+# callbacks (one per node costs microseconds); dead entries stay until the
+# table has doubled since the last sweep.
 _NODES = {}
 _LOCK = threading.Lock()  # taken only to replace a dead entry, and to sweep
 _SWEEP_MIN = 1 << 12
@@ -77,9 +81,8 @@ _sweep_at = _SWEEP_MIN
 
 
 def _intern(key, node, size, depth):
-    """Finish node, whose fields are set, and insert it under key; return
-    it, or an equal node that another thread inserted first.  Raises
-    FormulaDepthError for a node more than MAX_NODE_DEPTH levels deep."""
+    """Finish node (its fields set) and insert it under key; return it, or an equal
+    node another thread inserted first.  Past MAX_NODE_DEPTH: FormulaDepthError."""
     if depth > MAX_NODE_DEPTH:
         raise FormulaDepthError(f"formula more than {MAX_NODE_DEPTH} levels deep")
     _set_size(node, size)
@@ -102,12 +105,9 @@ def _intern(key, node, size, depth):
 
 
 def _sweep():
-    """Drop the dead entries in one pass, latest first.
-
-    A parent is inserted after its children, and a dead parent's key still
-    holds them; popping each key off the list frees it, so its children can
-    die before the pass reaches their entries.
-    """
+    """Drop the dead entries in one pass, latest first: a dead parent's key,
+    inserted after its children's, holds them, and popping it off the list
+    frees it, so they can die before the pass reaches their entries."""
     global _sweep_at
     with _LOCK:
         keys = list(_NODES)
@@ -119,12 +119,9 @@ def _sweep():
 
 
 class _Node:
-    """An interned, immutable formula node.
-
-    Equal nodes are one object, so `==` and `hash` are the identity defaults.
-    `size` (nodes, counted as a tree) and `depth` (levels; a Var is one) are
-    set when the node is built.
-    """
+    """An interned, immutable formula node: `==` and `hash` are the identity
+    defaults, and `size` (nodes, counted as a tree) and `depth` (levels; a
+    Var is one) are set when the node is built."""
 
     __slots__ = ("size", "depth", "__weakref__")
 
@@ -192,12 +189,9 @@ class Implies(_Node):
 
 
 class _Modal(_Node):
-    """K{C}inner or B{C}inner; the coalition is a frozenset of agent names.
-
-    A coalition of another type or with a member that is not a str is a
-    TypeError, as is a Var name that is not a str; like the depth bound,
-    these are checked only for a new node.
-    """
+    """K{C}inner or B{C}inner.  A coalition that is not a frozenset of str
+    agent names is a TypeError, as is a Var name that is not a str; like the
+    depth bound, these are checked only for a new node."""
 
     __slots__ = __match_args__ = ("coalition", "inner")
 
@@ -262,8 +256,7 @@ def poss_knows(c: Coalition, a: Formula) -> Formula:
 
 def subformulas(f: Formula):
     """Yield each distinct subformula of f once, parents before children."""
-    seen = set()
-    stack = [f]
+    seen, stack = set(), [f]
     while stack:
         node = stack.pop()
         if node in seen:
@@ -279,11 +272,7 @@ def subformulas(f: Formula):
 
 def formula_agents(f: Formula) -> frozenset:
     """All agent names appearing in coalitions of f."""
-    agents = set()
-    for node in subformulas(f):
-        if isinstance(node, (Knows, Blames)):
-            agents |= node.coalition
-    return frozenset(agents)
+    return frozenset(a for n in subformulas(f) if isinstance(n, _Modal) for a in n.coalition)
 
 
 def formula_vars(f: Formula) -> frozenset:
@@ -314,11 +303,8 @@ def _collect_atoms(node: Formula, seen: set, out: list):
 
 
 def modal_atoms(f: Formula) -> set:
-    """Maximal subformulas headed by Var, Knows, or Blames.
-
-    These are the propositional atoms when f is read as a Boolean
-    combination; no returned atom is a strict subformula of another.
-    """
+    """Maximal subformulas headed by Var, Knows, or Blames: the atoms of f
+    read as a Boolean combination, none a strict subformula of another."""
     return set(atom_list(f))
 
 
@@ -336,65 +322,48 @@ _PUNCTUATION = {
 _SCANNER = re.compile("|".join(map(re.escape, _PUNCTUATION)) + "|" + IDENT_RE.pattern)
 _UNARY_START = frozenset({"IDENT", "LPAREN", "NOT", "POSSK"})
 _PAREN_STEP = {"(": 1, ")": -1}  # token text -> change in open parentheses
-# Binary operator token -> (precedence, floor for its right operand,
-# builder).  A floor one above the precedence makes the operator
-# left-associative; `->` takes its own precedence as the floor, so it is
-# right-associative.
-_BINARY = {
-    "<->": (1, 2, iff),
-    "->": (2, 2, Implies),
-    "|": (3, 4, disj),
-    "&": (4, 5, conj),
-}
+_PARENS = re.compile("[()]")
+# Binary operator token -> (precedence, floor for its right operand, builder):
+# a floor one above the precedence makes the operator left-associative, and
+# `->`, whose floor is its own precedence, right-associative.
+_BINARY = {"<->": (1, 2, iff), "->": (2, 2, Implies), "|": (3, 4, disj), "&": (4, 5, conj)}
 
 
 def _scan(text: str) -> list:
-    """Token texts, ending with "" for the end of input.  The tokens hold
-    every character but space exactly when their texts, joined, are the
-    text without its space; if not, the first stray character raises."""
+    """Token texts, ending with "" for the end of input.  If the tokens, joined,
+    are not the text without its space, the first stray character raises."""
     texts = _SCANNER.findall(text)
     if "".join(texts) != "".join(text.split()):
         blanked = _SCANNER.sub(lambda m: " " * len(m[0]), text)  # tokens are ASCII
         bad = len(blanked) - len(blanked.lstrip())
         offset = len(text[:bad].encode("utf-8"))
-        raise ParseError(
-            f"unexpected character {text[bad]!r} at byte {offset}",
-            offset=offset,
-            expected={"IDENT", *_PUNCTUATION.values()},
-        )
+        expected = {"IDENT", *_PUNCTUATION.values()}
+        raise ParseError(f"unexpected character {text[bad]!r} at byte {offset}", offset, expected)
     texts.append("")
     return texts
 
 
 class _Parser:
-    """Precedence climbing over the token texts of one text.
+    """Precedence climbing over the token texts of one text.  depth[k] counts
+    the parentheses open after token k (False for a text with no `(`); a `(`
+    that opens the MAX_DEPTH-th raises."""
 
-    depth[k] is the number of parentheses open after token k, or depth is
-    False for a text with no `(`; a `(` that opens the MAX_DEPTH-th raises.
-    memo, if not None, maps the token texts, joined by a space, of each
-    parenthesised group that parsed to its formula; a hit is skipped, and
-    raises if the deepest of its parentheses would.
-    """
+    words = {"true": TOP, "false": BOTTOM}  # a word that is not a variable -> its formula
 
-    def __init__(self, text: str, memo=None):
+    def __init__(self, text: str):
         self.text = text
         self.texts = _scan(text)
         self.pos = 0
-        # only a `(` reads depth and the memo; a `(` never closed fails anyway
+        # only a `(` reads depth
         self.depth = "(" in text and list(accumulate(map(_PAREN_STEP.get, self.texts, repeat(0))))
-        self.memo = memo if self.depth and self.depth[-1] <= 0 else None
 
     def fail(self, expected):
         # where each token, then the end of input, starts: only errors need it
         starts = [m.start() for m in _SCANNER.finditer(self.text)] + [len(self.text)]
         offset = len(self.text[: starts[self.pos]].encode("utf-8"))
         shown = self.texts[self.pos] or "end of input"
-        raise ParseError(
-            f"unexpected {shown!r} at byte {offset}, "
-            f"expected one of {sorted(expected)}",
-            offset=offset,
-            expected=expected,
-        )
+        message = f"unexpected {shown!r} at byte {offset}, expected one of {sorted(expected)}"
+        raise ParseError(message, offset, expected)
 
     def expect(self, token: str):
         if self.texts[self.pos] != token:
@@ -428,22 +397,10 @@ class _Parser:
             c = self.coalition_literal()
             return poss_knows(c, self.unary())
         if token == "(":
-            depth = self.depth
-            if depth[start] >= MAX_DEPTH:
+            if self.depth[start] >= MAX_DEPTH:
                 raise ParseError("formula nested too deeply")
-            if self.memo is not None:  # the group ends where depth first drops below its `(`
-                end = depth.index(depth[start] - 1, start) + 1
-                key = " ".join(self.texts[start:end])
-                f = self.memo.get(key)
-                if f is not None:
-                    if max(depth[start:end]) >= MAX_DEPTH:
-                        raise ParseError("formula nested too deeply")
-                    self.pos = end
-                    return f
             f = self.binary()
             self.expect(")")
-            if self.memo is not None:
-                self.memo[key] = f
             return f
         if token in _PUNCTUATION or not token:  # not an identifier
             self.pos = start
@@ -452,7 +409,7 @@ class _Parser:
             c = self.coalition_literal()
             inner = self.unary()
             return Knows(c, inner) if token == "K" else Blames(c, inner)
-        return TOP if token == "true" else BOTTOM if token == "false" else Var(token)
+        return self.words.get(token) or Var(token)
 
     def coalition_literal(self) -> Coalition:
         self.expect("{")
@@ -481,9 +438,56 @@ def parse_formula(text: str) -> Formula:
     return _parse_formula(text, None)
 
 
+class _Spans(_Parser):
+    """Reads one text's formula spans through a script memo (see the module docstring)."""
+
+    def __init__(self, text: str, memo: dict):
+        self.text, self.memo, self.words = text, memo, dict(_Parser.words)
+        self.arrows = "<->" not in text  # only `<->` ends a right operand early
+        self.close, opened = {}, []  # `(` offset -> its `)` offset
+        for m in _PARENS.finditer(text):
+            if m[0] == "(":
+                opened.append(m.start())
+            else:
+                self.close[opened.pop()] = m.start()
+
+    def span(self, lo: int, hi: int):
+        """(formula, nesting) of text[lo:hi]; words names each span inside."""
+        key = self.text[lo:hi].strip()
+        if key in self.memo:
+            return self.memo[key]
+        text, items, nest = self.text, [""], 0  # items end with the end of input
+        while True:
+            i = text.find("(", lo, hi)
+            arrow = text.find("->", lo, hi if i < 0 else i) if self.arrows else -1
+            if arrow < 0 and i < 0:
+                items[-1:] = _scan(text[lo:hi])
+                break
+            # a right operand runs to hi (lo then passes it), a group to its `)`
+            start, end = (arrow + 2, hi) if arrow >= 0 else (i + 1, self.close[i])
+            items[-1:] = _scan(text[lo : start - (arrow < 0)])
+            f, inner = self.span(start, end)
+            items[-1:] = str(len(self.words)), ""
+            self.words[items[-2]] = f
+            nest, lo = max(nest, inner + (arrow < 0)), end + 1
+        self.texts, self.pos = items, 0
+        f = self.binary()
+        if self.texts[self.pos]:
+            self.fail({"EOF"})
+        self.memo[key] = f, nest
+        return f, nest
+
+
 def _parse_formula(text: str, memo) -> Formula:
-    """parse_formula, reading groups through memo unless it is None (see _Parser)."""
-    p = _Parser(text, memo)
+    """parse_formula, reading the text's spans through memo unless it is None."""
+    if memo is not None:
+        try:
+            f, nest = memo.get(text.strip()) or _Spans(text, memo).span(0, len(text))
+        except (ParseError, LookupError, RecursionError, FormulaDepthError):
+            nest = MAX_DEPTH  # LookupError: unbalanced parentheses
+        if nest < MAX_DEPTH and f.size <= MAX_NODES and f.depth <= MAX_DEPTH:
+            return f
+    p = _Parser(text)
     try:
         f = p.binary()
     except (RecursionError, FormulaDepthError):
@@ -498,8 +502,7 @@ def _parse_formula(text: str, memo) -> Formula:
 
 
 def parse_coalition(text: str) -> Coalition:
-    """Parse a coalition literal such as `{a, b}`; raises ParseError as
-    parse_formula does."""
+    """Parse a coalition literal such as `{a, b}`; raises as parse_formula does."""
     p = _Parser(text)
     c = p.coalition_literal()
     if p.texts[p.pos]:
@@ -513,16 +516,13 @@ def format_coalition(c: Coalition) -> str:
 
 def print_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; never re-sugars.
-
     parse_formula(print_formula(f)) is f for every formula whose variable
-    names avoid the reserved words true/false.
-    """
+    names avoid the reserved words true/false."""
     return _render(f, False, {})
 
 
 def _render(node: Formula, parenthesize_implies: bool, memo: dict) -> str:
-    """Text of node; memo maps each (node, parenthesize_implies) rendered
-    within one call to its text, so an equal subtree is rendered once."""
+    """Text of node, rendering each (node, parenthesize_implies) once per memo."""
     key = (node, parenthesize_implies)
     text = memo.get(key)
     if text is None:

@@ -435,12 +435,15 @@ _TWO_AGENTS = {
     ],
     "valuation": {"p": [0, 2]},
 }
+_DEEP = "~" * 198 + "q"
 _TMP_FILES = {
     "two.game": json.dumps(_TWO_AGENTS),
     "bad.proof": "premises: p\ngoal: K{a}p\n1. p ; premise\n2. K{a}p ; nec 1 {a}\n",
     "mp.proof": "premises: p ; p -> q\ngoal: q\n1. p ; premise\n2. p -> q ; premise\n3. q ; mp 1 2\n",
     "bad-formula.proof": "goal: p -> p\n1. p -> ; taut\n",
     "bad-coalition.proof": "goal: K{a}p\n1. p ; premise\n2. K{a}p ; nec 1 {a b}\n",
+    # a premise 199 levels deep: discharging p weakens it to a 201-deep line
+    "deep.proof": f"premises: p ; {_DEEP}\ngoal: {_DEEP}\n1. {_DEEP} ; premise\n",
 }
 _DEDUCED = (
     "premises: p -> q\ngoal: p -> q\n1. p -> p ; taut\n2. p -> q ; premise\n"
@@ -580,6 +583,12 @@ GOLDEN_ERRORS = {
     "proof-bad-coalition": (
         ["prove", "--script", "{tmp}/bad-coalition.proof"],
         "line 3: unexpected 'b' at byte 20, expected one of ['RBRACE']",
+    ),
+    # deduce prints no script that prove cannot read, and names its first
+    # line past the parser's bounds: line 4, `2. D -> p -> D ; taut`
+    "deduce-too-deep": (
+        ["deduce", "--script", "{tmp}/deep.proof", "--phi", "p"],
+        "the deduced script does not parse: line 4: formula nested too deeply",
     ),
 }
 

@@ -1,3 +1,4 @@
+import random
 import re
 import weakref
 from itertools import product
@@ -45,6 +46,7 @@ from blamelogic.syntax import (
     Knows,
     Neg,
     Var,
+    _parse_formula,
     atom_list,
     parse_formula,
     print_formula,
@@ -670,3 +672,119 @@ def test_no_script_memo_outlives_its_call():
     assert format_proof(script).endswith("1. memo_only -> memo_only ; taut\n")
     del script
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# The memo is keyed by formula text: parse_proof looks up each line, group
+# inside and right operand of `->` by its stripped text before scanning it.
+# Whatever it hits, each formula must parse as parse_formula parses it alone.
+
+
+def _outcome(parse, text):
+    """The node parse returns, or its error's message, offset and expected set."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.offset, e.expected
+
+
+def _on_text_line_3(formula, first):
+    """parse_proof's outcome for formula on text line 3, after first on line
+    2, and the outcome parse_proof should give: parse_formula's on that
+    line's formula text alone, offsets counted from the line's start."""
+    line = f"2. {formula} ; taut"
+    got = _outcome(lambda t: parse_proof(t).lines[1].formula, f"goal: p\n1. {first} ; taut\n{line}\n")
+    alone = _outcome(parse_formula, " " * 3 + line[3 : line.rindex(";")])
+    if isinstance(alone, tuple):
+        alone = (f"line 3: {alone[0]}", *alone[1:])
+    return got, alone
+
+
+def test_a_right_operand_lookup_never_reads_past_iff():
+    # `->` binds tighter than `<->`, so the right operand of `p ->` is `q`,
+    # and line 2's text `q <-> r` is no operand of line 3
+    script = parse_proof("goal: p\n1. q <-> r ; taut\n2. p -> q <-> r ; taut\n")
+    assert script.lines[1].formula is parse_formula("p -> q <-> r")
+    assert script.lines[1].formula is not Implies(p, parse_formula("q <-> r"))
+
+
+def test_one_group_in_other_spacings_parses_to_one_node():
+    # each spacing is another memo key, and each parses to the one node
+    texts = ["(p->q)", "( p -> q )", "(p\u3000->q)", "(p->q) -> (p -> q)", "( p -> q ) -> (p->q)"]
+    script = parse_proof("goal: p\n" + "".join(f"{k}. {t} ; taut\n" for k, t in enumerate(texts, 1)))
+    pq = Implies(p, q)
+    assert [line.formula for line in script.lines] == [pq, pq, pq, Implies(pq, pq), Implies(pq, pq)]
+
+
+@pytest.mark.parametrize("extra", [48, 49, 50])
+def test_a_right_operand_hit_counts_the_parentheses_around_it(extra):
+    # line 2 stores `q -> G`'s right operand G, a 150-deep group; line 3 reads
+    # G as the right operand of `r -> G` inside `extra` more pairs
+    group = "(" * 150 + "p -> q" + ")" * 150
+    got, alone = _on_text_line_3("(" * extra + f"r -> {group}" + ")" * extra, f"q -> {group}")
+    assert got == alone
+    assert isinstance(got, tuple) == (extra + 150 >= MAX_DEPTH)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["(s -> q -> r) q", "(s -> q -> r) $", "~(s -> q -> r) q -> r", "((s -> q -> r) q)", "s -> q -> r)"],
+)
+def test_a_right_operand_hit_then_a_stray_token_keeps_its_message_and_offset(formula):
+    # line 2 stores the right operand `q -> r`, which each formula repeats
+    got, alone = _on_text_line_3(formula, "p -> q -> r")
+    assert isinstance(alone, tuple)
+    assert got == alone
+
+
+_DEEP = "~" * 149 + "p"  # 150 levels
+_LARGE = "p" + " <-> p" * 13  # 65,529 nodes; the 14th `<->` passes MAX_NODES
+
+
+@pytest.mark.parametrize(
+    "first, formula",
+    [
+        (_DEEP, "~" * 50 + f"({_DEEP})"),  # 200 levels: parses
+        (_DEEP, "~" * 51 + f"({_DEEP})"),  # 201 levels
+        ("p -> " + "~" * 198 + "p", "q -> p -> " + "~" * 198 + "p"),  # right operand, 201 levels
+        (_LARGE, f"({_LARGE}) -> p"),  # parses
+        (_LARGE, f"({_LARGE}) <-> p"),  # too large
+    ],
+)
+def test_a_formula_built_from_memo_hits_keeps_the_depth_and_size_bounds(first, formula):
+    # line 3 reads line 2's text as a group or right operand; its root is
+    # checked against MAX_DEPTH and MAX_NODES as parse_formula checks it
+    got, alone = _on_text_line_3(formula, first)
+    assert got == alone
+
+
+# tokens, stray characters and spaces, Unicode ones among them
+_SOUP = ["p", "q", "K{a}", "B{}", "true", "->", "<->", "<K>{a}", "~", "&", "|", "(", ")",
+         "{", ",", "-", "$", "1p", "\xe9"]
+_SPACES = ["", " ", "\t", "\xa0", "\u3000"]
+
+
+def test_a_memo_warmed_by_lines_and_arrow_chains_changes_no_parse_of_token_soup():
+    # a memo warmed by whole lines and `->` chains, whose right operands it
+    # stores, among them a 150-deep group; seeded soup repeats those texts
+    # whole, after `->` and inside groups, some of it nested 48-50 or
+    # 198-201 deep, and must parse to the node or the error of parse_formula
+    rng = random.Random(2121)
+    group = "(" * 150 + "p -> q" + ")" * 150
+    lines = ["p -> q", "q -> p -> q", "K{a}p -> p -> q", "(p -> q) -> q -> p -> q",
+             "~(p -> q) -> ~q", "p <-> q", "p | q -> q & p", f"q -> {group}", f"r -> q -> {group}"]
+    memo = {}
+    for line in lines:
+        assert _parse_formula(line, memo) is parse_formula(line)
+    pieces = lines + [f"-> {line}" for line in lines] + [f"({line})" for line in lines]
+    parsed = 0
+    for _ in range(3000):
+        parts = [rng.choice(_SOUP if rng.random() < 0.6 else pieces) for _ in range(rng.randrange(1, 7))]
+        text = "".join(part + rng.choice(_SPACES) for part in parts)
+        if rng.random() < 0.3:
+            n = rng.choice((48, 49, 50, 198, 199, 200, 201))
+            text = "(" * n + text + ")" * (n + rng.choice((-1, 0, 0, 1)))
+        alone = _outcome(parse_formula, text)
+        assert _outcome(lambda t: _parse_formula(t, memo), text) == alone, text
+        parsed += not isinstance(alone, tuple)
+    assert parsed > 100
