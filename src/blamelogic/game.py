@@ -22,7 +22,9 @@ coalition is its tuple of first-block indices under the members
 The validator counts in C: used states and outcomes must be declared, each
 profile complete over declared actions, the (state, profile, outcome) keys
 distinct and the (state, profile) pairs |states|*|actions|^|agents| in
-number.  Only when a count is off does it walk the plays (`_play_faults`).
+number, a profile standing in those keys as its index group's small-int id.
+Only when a count is off does it walk the plays (`_play_faults`), reading
+each play's own profile to name its faults.
 
 The on-disk format is a single JSON document; see load_game / dump_game.
 Agents absent from the "indist" map get the identity partition (perfect
@@ -119,38 +121,34 @@ class Game:
 class _Masks:
     """A game's play sets as int bitmasks (bit i is play i).
 
-    One pass over the plays builds the state masks, the groups of plays per
-    profile object (`[profile, mask]` in first-play order) and each play's
-    group number; then come each play object's first position, the (agent,
+    One pass over the plays builds the state masks and the groups of plays
+    per profile object (id(profile) -> `[profile, mask]`, in first-play
+    order); then come each play object's first position, the (agent,
     action) masks and the variable masks.  Coalition classes fill in on
     first use (_classes).  The index holds no reference to the game.
     """
 
-    __slots__ = ("full", "state", "groups", "group_of", "index", "act", "var", "classes")
+    __slots__ = ("full", "state", "groups", "index", "act", "var", "classes")
 
     def __init__(self, game: Game):
         n = len(game.plays)
         self.full = (1 << n) - 1
         self.state = state = {}
-        self.groups = groups = []
-        self.group_of = group_of = []
-        numbers = {}  # id(profile) -> its group's number
+        self.groups = groups = {}
         bit = 1
         for s, profile, _ in game.plays:
             state[s] = state.get(s, 0) | bit
-            number = numbers.get(id(profile))
-            if number is None:
-                number = numbers[id(profile)] = len(groups)
-                groups.append([profile, bit])
+            group = groups.get(id(profile))
+            if group is None:
+                groups[id(profile)] = [profile, bit]
             else:
-                groups[number][1] |= bit
-            group_of.append(number)
+                group[1] |= bit
             bit <<= 1
         # id(play) -> position, zipped from the back so an object's first one wins
         self.index = dict(zip(map(id, reversed(game.plays)), range(n - 1, -1, -1)))
         self.act = act = {}  # (agent, action) -> plays where agent took action
         try:
-            for profile, mask in groups:
+            for profile, mask in groups.values():
                 for key in profile.items():
                     act[key] = act.get(key, 0) | mask
         except AttributeError:  # the group's first play is its lowest bit
@@ -289,21 +287,24 @@ def validate_game(game: Game) -> ValidationReport:
     actions = set(game.actions)
     outcomes = set(game.outcomes)
     masks = game._masks
-    facts = [_profile_facts(p, game.agents, agents, actions) for p, _ in masks.groups]
-    used_states, _, used_outcomes = zip(*game.plays) if game.plays else ((),) * 3
-    # counts taken in C; only when one is off are the plays walked
     ids = {}  # complete profile over declared actions, in agent order -> its id
-    id_of = [ids.setdefault(key, len(ids)) if unknown == () else None for key, _, unknown in facts]
-    used_profiles = list(map(id_of.__getitem__, masks.group_of))
+    id_of = {}  # id(profile) -> that id, None unless complete over declared actions
+    for pid, (profile, _) in masks.groups.items():
+        in_order = tuple(map(profile.get, game.agents))
+        complete = actions.issuperset(in_order) and profile.keys() == agents
+        id_of[pid] = ids.setdefault(in_order, len(ids)) if complete else None
+    used_states, profiles, used_outcomes = zip(*game.plays) if game.plays else ((),) * 3
+    # counts taken in C; only when one is off are the plays walked
+    used_profiles = list(map(id_of.__getitem__, map(id, profiles)))
     if not (
-        None not in id_of
+        None not in id_of.values()
         and states.issuperset(used_states)
         and outcomes.issuperset(used_outcomes)
         and len(set(zip(used_states, used_profiles, used_outcomes))) == len(game.plays)
         and len(set(zip(used_states, used_profiles)))
         == len(states) * len(actions) ** len(game.agents)
     ):
-        bad += _play_faults(game, facts, states, actions, outcomes)
+        bad += _play_faults(game, agents, states, actions, outcomes)
 
     n = len(game.plays)
     for var, indices in game.valuation.items():
@@ -323,25 +324,26 @@ def validate_game(game: Game) -> ValidationReport:
     return ValidationReport(tuple(bad), tuple(warn))
 
 
-def _play_faults(game: Game, facts, states, actions, outcomes) -> list:
+def _play_faults(game: Game, agents, states, actions, outcomes) -> list:
     """Each play's faults in play order, then each state's totality gap."""
     bad = []
     seen_plays = set()
     covered = set()  # (state, profile in agent order) over declared actions
-    for i, (play, number) in enumerate(zip(game.plays, game._masks.group_of)):
-        profile_key, in_order, unknown = facts[number]
-        state, _, outcome = play
-        if in_order is not None:
+    for i, (state, profile, outcome) in enumerate(game.plays):
+        in_order = tuple(map(profile.get, game.agents))
+        if actions.issuperset(in_order):
             covered.add((state, in_order))
         if state not in states:
             bad.append(f"play {i} references unknown state: {state}")
         if outcome not in outcomes:
             bad.append(f"play {i} references unknown outcome: {outcome}")
-        if unknown is None:
-            bad.append(f"play {i} profile domain is not exactly the agent set")
-        elif unknown:
+        if profile.keys() == agents:
+            unknown = [a for a in profile.values() if a not in actions]
             bad.extend(f"play {i} references unknown action: {a}" for a in unknown)
-        key = (state, profile_key, outcome)
+            key = (state, in_order, outcome)
+        else:
+            bad.append(f"play {i} profile domain is not exactly the agent set")
+            key = (state, frozenset(profile.items()), outcome)
         if key in seen_plays:
             bad.append(f"duplicate play at index {i}")
         seen_plays.add(key)
@@ -358,24 +360,6 @@ def _play_faults(game: Game, facts, states, actions, outcomes) -> list:
             more = f" ({missing} profiles missing)" if missing > 1 else ""
             bad.append(f"totality violated at ({state}, {shown}){more}")
     return bad
-
-
-def _profile_facts(profile, order, agents, actions):
-    """(duplicate key, actions in agent order or None, unknown actions or None).
-
-    The agent-order tuple is the totality key; it is None unless every
-    action in it is declared.  When the domain is exactly the agent set it
-    is also the duplicate key and the unknown actions are listed in the
-    profile's order; otherwise the duplicate key is the set of entries and
-    the unknown actions are None.
-    """
-    in_order = tuple(map(profile.get, order))
-    covering = in_order if actions.issuperset(in_order) else None
-    if profile.keys() != agents:
-        return frozenset(profile.items()), covering, None
-    if covering is not None:
-        return in_order, covering, ()
-    return in_order, covering, tuple(a for a in profile.values() if a not in actions)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +453,7 @@ def load_game(text: str) -> Game:
     """Parse and validate the JSON game format; never returns an invalid Game."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deeply
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, a huge int; nested too deeply
         raise FormatError(f"not valid JSON: {e}") from e
     return game_from_document(doc)
 

@@ -461,10 +461,15 @@ def parse_proof(text: str) -> ProofScript:
             raise ParseError(f"line {number}: bad proof line: {stripped!r}")
         if ";" not in m.group(2):
             raise ParseError(f"line {number}: missing justification on line {m.group(1)}")
+        digits = m.group(1)
+        try:
+            index = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"line {number}: proof line number has {len(digits)} digits") from None
         end = code.rindex(";")
         lines.append(
             ProofLine(
-                int(m.group(1)),
+                index,
                 _parse_at(parse, code, number, m.start(2), end),
                 _parse_justification(code, number, end + 1),
             )

@@ -516,8 +516,8 @@ def format_coalition(c: Coalition) -> str:
 
 def print_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; never re-sugars.
-    parse_formula(print_formula(f)) is f for every formula whose variable
-    names avoid the reserved words true/false."""
+    parse_formula(print_formula(f)) is f when f's variable names avoid true and
+    false, f.depth <= MAX_DEPTH and f.size <= MAX_NODES; else it may raise."""
     return _render(f, False, {})
 
 

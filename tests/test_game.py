@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from itertools import product
 from types import MappingProxyType
@@ -152,6 +153,19 @@ def test_missing_indist_defaults_to_identity():
         '{"agents": ["c"], "states": ["s"], "actions": ["d"], "outcomes": ["o"], "plays": [{"state": "s"}]}',
         '{"agents": ["c"], "states": ["s"], "actions": ["d"], "outcomes": ["o"], "plays": [], "valuation": {"p": "x"}}',
         '{"agents": ["c"], "states": ["s"], "actions": ["d"], "outcomes": ["o"], "plays": [{"state": "s", "profile": {"c": "d"}, "outcome": "o"}], "valuation": {"p": [0, 0]}}',
+        "[]",
+        doc(agents=["c", 1]),
+        doc(indist={"c": ["high", "low"]}),
+        doc(valuation=[]),
+        # integers past json's digit limit (they raised a bare ValueError)
+        *(
+            pytest.param(text, id=name, marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"))
+            for name, text in (
+                ("huge-index", doc().replace('"col": [0, 3]', '"col": [0, ' + "9" * 5000 + "]")),
+                ("huge-field", doc()[:-1] + ', "extra": ' + "9" * 5001 + "}"),
+            )
+        ),
     ],
 )
 def test_malformed_documents_raise_format_error(broken):
@@ -197,7 +211,7 @@ def test_building_a_bad_game_raises_nothing():
     g = Game(
         agents=("a", "b"),
         states=("s",),
-        indist={"a": (frozenset({"s", "t"}),), "zz": ()},
+        indist={"a": (frozenset({"s", "t"}), frozenset()), "zz": ()},
         actions=("d",),
         outcomes=("o",),
         plays=(Play("s", {"a": "d"}, "o"), Play("t", {"a": "x", "b": "d"}, "?")),
@@ -208,6 +222,7 @@ def test_building_a_bad_game_raises_nothing():
     for expected in (
         "indist references unknown agent: zz",
         "missing partition for agent b",
+        "empty partition block for agent a",
         "partition for agent a references unknown state: t",
         "play 0 profile domain is not exactly the agent set",
         "play 1 references unknown state: t",

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import weakref
 from itertools import product
 
@@ -369,6 +370,8 @@ NEC_COALITION = "necessitation coalition must be a frozenset of agent names"
         (Nec(1, ("a",)), NEC_COALITION),
         (Nec(1, "a"), NEC_COALITION),
         (Nec(1, frozenset({1})), NEC_COALITION),
+        (Axiom("Nope"), "unknown axiom name: Nope"),
+        ("mp 1 2", "unknown justification: 'mp 1 2'"),
     ],
 )
 def test_hand_built_justifications_are_checked_not_raised(justification, reason):
@@ -382,6 +385,11 @@ def test_hand_built_justifications_are_checked_not_raised(justification, reason)
     report = check_proof(ProofScript((), lines, formula))
     assert (report.valid, report.reason) == (reason is None, reason)
     assert report.error_line == (None if reason is None else 3)
+
+
+def test_script_with_no_lines_is_invalid():
+    report = check_proof(ProofScript((), (), p))
+    assert (report.valid, report.error_line, report.reason) == (False, 0, "script has no lines")
 
 
 def test_mp_shape_checked():
@@ -562,6 +570,12 @@ def test_a_second_goal_or_premises_line_is_a_parse_error(text, number):
         ("premises", "bad proof line: 'premises'"),
         ("1. p -> ; taut", "unexpected 'end of input' at byte 8, "
          "expected one of ['IDENT', 'LPAREN', 'NOT', 'POSSK']"),
+        # past int()'s digit limit (it raised a bare ValueError)
+        pytest.param(
+            "9" * 5000 + ". p ; taut", "proof line number has 5000 digits", id="huge-line-number",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="no int-string digit limit"),
+        ),
     ],
 )
 def test_every_parse_error_names_its_text_line(line, message):

@@ -8,7 +8,7 @@ from itertools import product
 
 from _helpers import naive_evaluate, naive_indist
 from blamelogic.errors import PlayNotInGameError, UnknownAgentError
-from blamelogic.game import Game, Play, identity_partition, indistinguishable, load_game
+from blamelogic.game import Game, Play, dump_game, identity_partition, indistinguishable, load_game
 from blamelogic.generator import GenParams, gen_formula, gen_game
 from blamelogic import asset_path
 from blamelogic.hilbert import deduction_transform, format_proof, is_tautology_instance, parse_proof
@@ -200,6 +200,15 @@ def test_play_not_in_game(truck_manual):
     stranger = Play("low", {"c": "speed-up"}, "collision")
     with pytest.raises(PlayNotInGameError):
         evaluate(truck_manual, stranger, parse_formula("col"))
+
+
+def test_a_play_equal_to_one_of_the_game_is_found_by_equality(truck_selfdriving):
+    # a reloaded copy's play equals plays[3] but is another object
+    twin = load_game(dump_game(truck_selfdriving)).plays[3]
+    assert twin == truck_selfdriving.plays[3] and twin is not truck_selfdriving.plays[3]
+    assert evaluate(truck_selfdriving, twin, parse_formula("B{c}col"))
+    w = blame_witness(truck_selfdriving, twin, {"c"}, parse_formula("col"))
+    assert w.choice == {"c": "speed-up"}
 
 
 def test_blame_beyond_old_strategy_cap():

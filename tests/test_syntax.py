@@ -371,6 +371,17 @@ def test_formulas_past_the_depth_limit_are_parse_errors(kind):
     assert str(err.value) == "formula nested too deeply"
 
 
+def test_print_formula_round_trips_up_to_the_depth_limit():
+    # a node built in code may be deeper than any that parse_formula returns:
+    # its text prints but does not parse back
+    f = Var("q")
+    for _ in range(MAX_DEPTH - 1):
+        f = Neg(f)
+    assert f.depth == MAX_DEPTH and parse_formula(print_formula(f)) is f
+    with pytest.raises(ParseError, match="^formula nested too deeply$"):
+        parse_formula(print_formula(Neg(f)))
+
+
 _C = frozenset({"c"})
 _WRAP = {
     "~": Neg,
