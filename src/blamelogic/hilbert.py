@@ -10,10 +10,10 @@ repeats lines inside later ones, so parse_proof and format_proof keep one
 memo per call, of the formula texts parsed and the subformulas printed.
 
 Tautology checking reads a formula as a Boolean combination of its modal
-atoms (maximal Var/Knows/Blames subformulas) and decides truth under all
-assignments with bitmask truth tables: bit r of an atom's mask is its value
-in row r, and the semantics engine's `_ext` evaluates the connectives over
-those masks as it does over play masks.
+atoms (maximal Var/Knows/Blames subformulas), settled by unit propagation
+from the formula false if it can be, else by bitmask truth tables: bit r of
+an atom's mask is its value in row r, and the semantics engine's `_ext`
+evaluates the connectives over those masks as it does over play masks.
 
 SCHEMAS holds the only encoding of the eleven axiom schemas: a builder over
 the metavariables (phi, psi, C, D) and a side condition on (C, D) for each.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .errors import (
     AtomBudgetExceededError,
@@ -183,14 +184,72 @@ def match_axiom(f: Formula):
     return None
 
 
-def is_tautology_instance(f: Formula) -> bool:
-    """True iff f holds under every assignment to its modal atoms (at most MAX_ATOMS)."""
+def _atom_set(node, memo: dict) -> frozenset:
+    """The modal atoms below node, or MAX_ATOMS + 1 of them if it has more."""
+    got = memo.get(node)
+    if got is None:
+        if type(node) is Implies:
+            got, right = _atom_set(node.lhs, memo), _atom_set(node.rhs, memo)
+            if not right <= got:
+                got = right if got <= right else frozenset(islice(got | right, MAX_ATOMS + 1))
+        elif type(node) is Neg:
+            got = _atom_set(node.inner, memo)
+        else:
+            got = frozenset((node,))
+        memo[node] = got
+    return got
+
+
+def _literal(node, v) -> tuple:
+    """The node below node's Negs, and the value it needs for node to be v."""
+    while type(node) is Neg:
+        node, v = node.inner, not v
+    return node, v
+
+
+def _refuted(f) -> bool:
+    """Unit propagation from f false, values kept on non-Neg nodes and set on
+    push: True if it forces a node both ways, which proves f a tautology.  A
+    true implication with both ends unknown waits on their watch lists."""
+    value, watch, todo, forced = {}, {}, [], [_literal(f, False)]
+    while True:
+        for node, v in forced:
+            if node not in value:
+                value[node] = v
+                todo.append(node)
+            elif value[node] is not v:
+                return True
+        if not todo:
+            return False
+        node = todo.pop()
+        forced, wake = [], watch.pop(node, [])  # wake: true implications with node as an end
+        if type(node) is Implies and not value[node]:
+            forced += _literal(node.lhs, True), _literal(node.rhs, False)
+        elif type(node) is Implies:
+            wake.append(node)
+        for imp in wake:  # lv and rv: the values that make each end true
+            (lhs, lv), (rhs, rv) = _literal(imp.lhs, True), _literal(imp.rhs, True)
+            if value.get(lhs) is lv:
+                forced.append((rhs, rv))
+            elif value.get(rhs) is (not rv):
+                forced.append((lhs, not lv))
+            elif lhs not in value and rhs not in value:
+                watch.setdefault(lhs, []).append(imp)
+                watch.setdefault(rhs, []).append(imp)
+
+
+def is_tautology_instance(f: Formula, *, _memo=None) -> bool:
+    """True iff f holds under every assignment to its modal atoms.  More than
+    MAX_ATOMS of them is an AtomBudgetExceededError, checked first; then unit
+    propagation settles f if it can, and only otherwise does a truth table of
+    2^n rows.  check_proof shares one atom memo over its lines as _memo."""
+    if len(_atom_set(f, {} if _memo is None else _memo)) > MAX_ATOMS:
+        n = len(atom_list(f))
+        raise AtomBudgetExceededError(f"{n} modal atoms exceeds the budget of {MAX_ATOMS}")
+    if _refuted(f):
+        return True
     atoms = atom_list(f)
     n = len(atoms)
-    if n > MAX_ATOMS:
-        raise AtomBudgetExceededError(
-            f"{n} modal atoms exceeds the budget of {MAX_ATOMS}"
-        )
     rows = 1 << n
     full = (1 << rows) - 1
 
@@ -267,6 +326,7 @@ def check_proof(script: ProofScript) -> CheckReport:
     A line reference must be an int (not a bool) naming an earlier line.
     """
     depends = []
+    atoms = {}  # one atom memo for every taut line
 
     def invalid(k, reason):
         return CheckReport(False, k, reason, tuple(depends))
@@ -279,7 +339,7 @@ def check_proof(script: ProofScript) -> CheckReport:
             return invalid(k, f"line numbering must be consecutive (got {line.index})")
         match line.justification:
             case Taut():
-                if not is_tautology_instance(line.formula):
+                if not is_tautology_instance(line.formula, _memo=atoms):
                     return invalid(k, "not a tautology instance")
                 dep = False
             case Axiom(name):
@@ -397,6 +457,16 @@ def _parse_at(parse, line: str, number: int, start: int, end=None):
         raise
 
 
+def _reference(part: str, number: int, what: str, text: str) -> int:
+    """int(part), else a ParseError; one that names only the digit count if too long for int()."""
+    try:
+        return int(part)
+    except ValueError:
+        if part.isdecimal():
+            raise ParseError(f"line {number}: {what} has {len(part)} digits") from None
+        raise ParseError(f"line {number}: bad {what}: {text!r}") from None
+
+
 def _parse_justification(line: str, number: int, start: int):
     text = line[start:].strip()
     if text == "taut":
@@ -410,15 +480,9 @@ def _parse_justification(line: str, number: int, start: int):
         return Axiom(name)
     parts = text.split(None, 2)
     if parts and parts[0] == "mp" and len(parts) == 3:
-        try:
-            return MP(int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ParseError(f"line {number}: bad modus ponens reference: {text!r}") from None
+        return MP(*(_reference(part, number, "modus ponens reference", text) for part in parts[1:]))
     if parts and parts[0] == "nec" and len(parts) == 3:
-        try:
-            i = int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {number}: bad necessitation reference: {text!r}") from None
+        i = _reference(parts[1], number, "necessitation reference", text)
         # the literal is the rest of the line, so it ends where the line does
         return Nec(i, _parse_at(parse_coalition, line, number, len(line.rstrip()) - len(parts[2])))
     raise ParseError(f"line {number}: bad justification: {text!r}")
@@ -459,13 +523,9 @@ def parse_proof(text: str) -> ProofScript:
         m = _LINE_RE.match(code)
         if not m:
             raise ParseError(f"line {number}: bad proof line: {stripped!r}")
+        index = _reference(m.group(1), number, "proof line number", stripped)
         if ";" not in m.group(2):
             raise ParseError(f"line {number}: missing justification on line {m.group(1)}")
-        digits = m.group(1)
-        try:
-            index = int(digits)
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"line {number}: proof line number has {len(digits)} digits") from None
         end = code.rindex(";")
         lines.append(
             ProofLine(

@@ -17,7 +17,7 @@ that shares one memo per trial must return an equal report.
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import islice, product
+from itertools import count, islice, product
 from types import MappingProxyType
 
 from blamelogic.game import Game, Play, ValidationReport
@@ -42,7 +42,16 @@ from blamelogic.hilbert import (
     check_proof,
 )
 from blamelogic.semantics import extension_mask
-from blamelogic.syntax import Blames, Implies, Knows, Neg, Var, formula_agents, formula_vars
+from blamelogic.syntax import (
+    Blames,
+    Implies,
+    Knows,
+    Neg,
+    Var,
+    atom_list,
+    formula_agents,
+    formula_vars,
+)
 
 
 def same_block(game, agent, s1, s2):
@@ -133,6 +142,44 @@ def rand_formula(rng, depth, vocab=(VARS, AGENTS)):
         return Implies(rand_formula(rng, depth - 1, vocab), rand_formula(rng, depth - 1, vocab))
     node = Knows if roll < 0.85 else Blames
     return node(rand_coalition(rng, vocab[1]), rand_formula(rng, depth - 1, vocab))
+
+
+# tautologies over metavariables A, B and P, each occurrence given by m(name):
+# the lines deduction_transform emits, then two of the propositional calculus
+TAUT_SHAPES = {
+    "identity": lambda m: Implies(m("A"), m("A")),
+    "weakening": lambda m: Implies(m("A"), Implies(m("B"), m("A"))),
+    "distribution": lambda m: Implies(
+        Implies(m("P"), m("A")),
+        Implies(Implies(m("P"), Implies(m("A"), m("B"))), Implies(m("P"), m("B"))),
+    ),
+    "contraposition": lambda m: Implies(Implies(Neg(m("A")), Neg(m("B"))), Implies(m("B"), m("A"))),
+    "peirce": lambda m: Implies(Implies(Implies(m("A"), m("B")), m("A")), m("A")),
+}
+
+
+def rand_taut_line(rng, max_atoms=12):
+    """(kind, formula) with at most max_atoms modal atoms over up to
+    max_atoms variables: a TAUT_SHAPES instance over random subformulas
+    (kind is its shape), one with an occurrence replaced by a fresh random
+    subformula (kind "broken <shape>"), or a random formula ("random")."""
+    vocab = (tuple(f"x{i}" for i in range(rng.randint(1, max_atoms))), AGENTS)
+
+    def sub():
+        return rand_formula(rng, rng.randint(1, 5), vocab)
+
+    while True:
+        if rng.random() < 0.3:
+            shape, f = "random", rand_formula(rng, rng.randint(3, 9), vocab)
+        else:
+            shape = rng.choice(sorted(TAUT_SHAPES))
+            terms = {x: sub() for x in "ABP"}
+            hit, occurrence = rng.randrange(8) if rng.random() < 0.35 else -1, count()
+            f = TAUT_SHAPES[shape](lambda x: sub() if next(occurrence) == hit else terms[x])
+            if 0 <= hit < next(occurrence):
+                shape = "broken " + shape
+        if len(atom_list(f)) <= max_atoms:
+            return shape, f
 
 
 def rand_axiom_line(rng):

@@ -1,3 +1,4 @@
+import collections
 import random
 import re
 import sys
@@ -9,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from _helpers import (
     AGENTS,
+    TAUT_SHAPES,
     VARS,
     make_rng,
     negate_line,
     rand_coalition,
     rand_formula,
+    rand_taut_line,
     random_premise_script,
 )
 from blamelogic import asset_path
@@ -28,6 +31,7 @@ from blamelogic.hilbert import (
     ProofLine,
     ProofScript,
     Taut,
+    _refuted,
     build_axiom,
     check_proof,
     deduction_transform,
@@ -262,6 +266,58 @@ def test_tautology_against_naive_truth_tables():
     # a couple of shapes with many atoms
     chain = parse_formula("p -> q -> r -> s -> t -> p")
     assert is_tautology_instance(chain) == _naive_tautology(chain)
+
+
+def test_tautology_against_naive_truth_tables_on_shaped_lines():
+    # identity, weakening and distribution lines as deduction_transform
+    # emits them, contraposition and Peirce's law, each over random
+    # subformulas and also broken by one replaced occurrence, and random
+    # formulas; at most 12 modal atoms each
+    rng = make_rng(23)
+    seen = collections.Counter()
+    for _ in range(4000):
+        kind, f = rand_taut_line(rng)
+        verdict = is_tautology_instance(f)
+        assert verdict == _naive_tautology(f), (kind, print_formula(f))
+        seen[kind.split()[-1], verdict] += 1
+        if kind in TAUT_SHAPES:  # propagation alone settles every unbroken shape
+            assert _refuted(f), (kind, print_formula(f))
+    assert {kind for kind, _ in seen} == {*TAUT_SHAPES, "random"}
+    assert all(seen[kind, verdict] for kind, _ in seen for verdict in (False, True)), seen
+
+
+def test_propagation_reports_no_clash_for_a_non_tautology():
+    # a clash must prove the line a tautology: this fails for propagation
+    # that forces the right end of a true implication whose left end is
+    # unknown, and for propagation that gives a negation's inner node the
+    # negation's own value
+    rng = make_rng(29)
+    refuted = non_tautologies = 0
+    for _ in range(20_000):
+        kind, f = rand_taut_line(rng)
+        if _refuted(f):
+            refuted += 1
+            assert _naive_tautology(f), (kind, print_formula(f))
+        else:
+            non_tautologies += not _naive_tautology(f)
+    assert refuted > 8000 and non_tautologies > 6000, (refuted, non_tautologies)
+
+
+def test_atom_memo_sets_stop_past_the_budget():
+    # a balanced implication tree over 4096 distinct variables: the budget
+    # error names the exact count, and no memo entry holds more than
+    # MAX_ATOMS + 1 atoms, so the count costs O(nodes * MAX_ATOMS)
+    level = [Var(f"v{i}") for i in range(4096)]
+    while len(level) > 1:
+        level = [Implies(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+    memo = {}
+    with pytest.raises(AtomBudgetExceededError, match="^4096 modal atoms exceeds the budget of 20$"):
+        is_tautology_instance(level[0], _memo=memo)
+    assert len(memo) == 2 * 4096 - 1
+    assert max(map(len, memo.values())) == MAX_ATOMS + 1
+    script = ProofScript((), (ProofLine(1, level[0], Taut()),), level[0])
+    with pytest.raises(AtomBudgetExceededError, match="^4096 modal atoms"):
+        check_proof(script)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +638,21 @@ def test_every_parse_error_names_its_text_line(line, message):
     # a comment and a blank line put the script's line 1 on line 4 of the text
     with pytest.raises(ParseError, match=rf"^line 4: {re.escape(message)}$"):
         parse_proof(f"goal: p\n# c\n\n{line}\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-string digit limit")
+@pytest.mark.parametrize(
+    "line",
+    ["9" * 5000 + ". p", "1. p ; mp " + "9" * 5000 + " 1", "1. p ; nec " + "9" * 5000 + " {a}"],
+    ids=["line-number-no-justification", "mp-reference", "nec-reference"],
+)
+def test_a_number_too_long_for_int_is_named_by_its_digit_count(line):
+    # the message names the digit count, not the 5000 digits
+    with pytest.raises(ParseError) as caught:
+        parse_proof(f"goal: p\n{line}\n")
+    message = str(caught.value)
+    assert message.startswith("line 2: ") and "5000 digits" in message and len(message) < 120
 
 
 # ---------------------------------------------------------------------------
