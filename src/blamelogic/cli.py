@@ -22,7 +22,7 @@ import sys
 import time
 
 from .bundle import asset_path
-from .errors import BlamelogicError, ParseError
+from .errors import BlamelogicError, FormulaDepthError
 from .game import game_to_document, load_game
 from .semantics import blame_witness, evaluate, extension, is_valid, semantic_entailment
 from .syntax import Blames, parse_formula, print_formula
@@ -115,11 +115,10 @@ def _cmd_prove(args):
 def _cmd_deduce(args):
     from .hilbert import deduction_transform, format_proof, parse_proof
 
-    script = parse_proof(_read_input(args.script))
-    text = format_proof(deduction_transform(script, parse_formula(args.phi)))
+    script, phi = parse_proof(_read_input(args.script)), parse_formula(args.phi)
     try:  # a discharged line can pass the parser's bounds; prove must read what deduce prints
-        parse_proof(text)
-    except ParseError as e:
+        text = format_proof(deduction_transform(script, phi))
+    except FormulaDepthError as e:
         raise BlamelogicError(f"the deduced script does not parse: {e}") from None
     return {"verdict": "ok", "data": {"script": text}}, 0, text.rstrip("\n")
 

@@ -19,7 +19,8 @@ class ParseError(BlamelogicError):
 
 
 class FormulaDepthError(BlamelogicError, ValueError):
-    """A formula node built in code would be deeper than syntax.MAX_NODE_DEPTH."""
+    """A formula node built in code would be deeper than syntax.MAX_NODE_DEPTH,
+    or a line deduction_transform would print is past parse_formula's bounds."""
 
 
 class FormatError(BlamelogicError):

@@ -8,21 +8,25 @@ one play.  Games are immutable after construction: a `Play` is a tuple,
 `indist` and `valuation` are read-only mappings, and every operation here
 is a pure read.
 
-The loader reads each JSON play once: it checks the three fields, gives
-all plays with equal profile entries one shared, read-only profile and
-builds the plays in C.  Plays built in code keep the profiles they were given.
+The loader's pass over the JSON plays is the one walk of a loaded game's
+plays: for each it checks the three fields, gives all plays with equal
+profile entries one shared, read-only profile, builds the Play and ORs its
+bit into its state's mask and its profile's group.  Plays built in code
+keep the profiles they were given.
 
 Each game's index (`_Masks`), built by `Game.__post_init__` and read by the
 validator, the semantics module and the countermodel search, holds the
 play sets as bitmasks and groups the plays by profile object, so
-per-profile work is done once per distinct profile.  A state's key under a
-coalition is its tuple of first-block indices under the members
-(`_state_keys`); C-indistinguishable states have equal keys.
+per-profile work is done once per distinct profile; it takes the masks the
+loader or generator gathered (`_indexed_game`), else walks the plays.  A
+state's key under a coalition is its tuple of first-block indices under
+the members (`_state_keys`); C-indistinguishable states have equal keys.
 
 The validator counts in C: used states and outcomes must be declared, each
 profile complete over declared actions, the (state, profile, outcome) keys
 distinct and the (state, profile) pairs |states|*|actions|^|agents| in
-number, a profile standing in those keys as its index group's small-int id.
+number, each key a small int made of a state's position, its profile's
+index-group id and an outcome's position.
 Only when a count is off does it walk the plays (`_play_faults`), reading
 each play's own profile to name its faults.
 
@@ -37,6 +41,7 @@ import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from itertools import product, repeat
+from operator import add
 from types import MappingProxyType
 
 from .errors import (
@@ -86,11 +91,6 @@ class Strategy:
         return "{" + inner + "}"
 
 
-def _plays(triples) -> tuple:
-    """Plays of (state, profile, outcome) triples, built in C."""
-    return tuple(map(tuple.__new__, repeat(Play), triples))
-
-
 @dataclass(frozen=True)
 class Game:
     agents: tuple
@@ -102,7 +102,7 @@ class Game:
     valuation: dict  # variable name -> frozenset of play indices
     _masks: _Masks = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, walked=None):  # walked: see _indexed_game
         # canonical block order makes structural equality and the
         # serialization round trip independent of construction order
         canonical = {
@@ -111,39 +111,48 @@ class Game:
         }
         object.__setattr__(self, "indist", MappingProxyType(canonical))
         object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
-        object.__setattr__(self, "_masks", _Masks(self))
+        object.__setattr__(self, "_masks", _Masks(self, walked))
 
     def __hash__(self):  # as for Play: the two mappings hash by their items
         mappings = frozenset(self.indist.items()), frozenset(self.valuation.items())
         return hash((self.agents, self.states, self.actions, self.outcomes, self.plays, mappings))
 
 
+def _indexed_game(fields: tuple, walked: tuple) -> Game:
+    """Game(*fields), its index taking walked, the (state masks, profile groups)
+    that the caller gathered as it built the plays, in place of walking them."""
+    game = object.__new__(Game)
+    vars(game).update(zip(Game.__match_args__, fields))  # as the frozen __init__ sets them
+    game.__post_init__(walked)
+    return game
+
+
 class _Masks:
     """A game's play sets as int bitmasks (bit i is play i).
 
-    One pass over the plays builds the state masks and the groups of plays
-    per profile object (id(profile) -> `[profile, mask]`, in first-play
-    order); then come each play object's first position, the (agent,
-    action) masks and the variable masks.  Coalition classes fill in on
-    first use (_classes).  The index holds no reference to the game.
+    The state masks and the groups of plays per profile object (id(profile)
+    -> `[profile, mask]`), both in first-play order, come from walked or one
+    pass over the plays; then each play object's first position, the (agent,
+    action) masks and the variable masks.  Coalition classes fill in on first
+    use (_classes).  The index holds no reference to the game.
     """
 
     __slots__ = ("full", "state", "groups", "index", "act", "var", "classes")
 
-    def __init__(self, game: Game):
+    def __init__(self, game: Game, walked=None):
         n = len(game.plays)
         self.full = (1 << n) - 1
-        self.state = state = {}
-        self.groups = groups = {}
-        bit = 1
-        for s, profile, _ in game.plays:
-            state[s] = state.get(s, 0) | bit
-            group = groups.get(id(profile))
-            if group is None:
-                groups[id(profile)] = [profile, bit]
-            else:
-                group[1] |= bit
-            bit <<= 1
+        self.state, self.groups = state, groups = walked or ({}, {})
+        if walked is None:
+            bit = 1
+            for s, profile, _ in game.plays:
+                state[s] = state.get(s, 0) | bit
+                group = groups.get(id(profile))
+                if group is None:
+                    groups[id(profile)] = [profile, bit]
+                else:
+                    group[1] |= bit
+                bit <<= 1
         # id(play) -> position, zipped from the back so an object's first one wins
         self.index = dict(zip(map(id, reversed(game.plays)), range(n - 1, -1, -1)))
         self.act = act = {}  # (agent, action) -> plays where agent took action
@@ -293,20 +302,22 @@ def validate_game(game: Game) -> ValidationReport:
         in_order = tuple(map(profile.get, game.agents))
         complete = actions.issuperset(in_order) and profile.keys() == agents
         id_of[pid] = ids.setdefault(in_order, len(ids)) if complete else None
-    used_states, profiles, used_outcomes = zip(*game.plays) if game.plays else ((),) * 3
-    # counts taken in C; only when one is off are the plays walked
-    used_profiles = list(map(id_of.__getitem__, map(id, profiles)))
-    if not (
-        None not in id_of.values()
-        and states.issuperset(used_states)
-        and outcomes.issuperset(used_outcomes)
-        and len(set(zip(used_states, used_profiles, used_outcomes))) == len(game.plays)
-        and len(set(zip(used_states, used_profiles)))
-        == len(states) * len(actions) ** len(game.agents)
-    ):
+    n = len(game.plays)
+    used_states, profiles, used_outcomes = zip(*game.plays) if n else ((),) * 3
+    # counted in C over small ints: pair = state position * len(ids) + profile id,
+    # key = pair + outcome position * len(game.states) * len(ids), so none collide
+    counted = (None not in id_of.values() and states.issuperset(used_states)
+               and outcomes.issuperset(used_outcomes))
+    if counted:
+        base = {s: i * len(ids) for i, s in enumerate(game.states)}
+        out = {o: i * len(game.states) * len(ids) for i, o in enumerate(game.outcomes)}
+        gids = map(id_of.__getitem__, map(id, profiles))
+        pairs = list(map(add, map(base.__getitem__, used_states), gids))
+        keys = set(map(add, pairs, map(out.__getitem__, used_outcomes)))
+        counted = len(keys) == n and len(set(pairs)) == len(states) * len(actions) ** len(game.agents)
+    if not counted:  # only when a count is off are the plays walked
         bad += _play_faults(game, agents, states, actions, outcomes)
 
-    n = len(game.plays)
     for var, indices in game.valuation.items():
         # the index's mask has a bit for each int index in range; when it
         # has one per index, every index is fine; else name each bad one
@@ -406,8 +417,9 @@ def game_from_document(doc: dict) -> Game:
         indist.setdefault(agent, identity_partition(states))
 
     plays_doc = _require(doc, "plays", list)
-    plays = []
-    shared = {}  # profile entries -> the one read-only copy of that profile
+    plays, masks = [], {}  # masks: state -> its plays' mask
+    shared = {}  # profile entries -> [the one read-only copy of that profile, its plays' mask]
+    new, bit = tuple.__new__, 1
     for i, entry in enumerate(plays_doc):
         if not isinstance(entry, dict):
             raise FormatError(f"play {i} must be an object")
@@ -419,14 +431,17 @@ def game_from_document(doc: dict) -> Game:
                 _require(entry, name, typ, where=f"play {i}")
         key = (*profile, *profile.values())  # one tuple: agents, then actions
         try:
-            copy = shared.get(key)
+            group = shared.get(key)
         except TypeError:  # an unhashable entry, rejected below
-            copy = None
-        if copy is None:
+            group = None
+        if group is None:
             if not all(map(isinstance, key, repeat(str))):
                 raise FormatError(f"play {i}: profile entries must be strings")
-            copy = shared[key] = MappingProxyType(dict(profile))
-        plays.append((state, copy, outcome))
+            group = shared[key] = [MappingProxyType(dict(profile)), 0]
+        group[1] |= bit
+        masks[state] = masks.get(state, 0) | bit
+        plays.append(new(Play, (state, group[0], outcome)))
+        bit <<= 1
 
     valuation_doc = doc.get("valuation", {})
     if not isinstance(valuation_doc, dict):
@@ -442,7 +457,8 @@ def game_from_document(doc: dict) -> Game:
         if len(valuation[var]) < len(indices):
             raise FormatError(f"valuation for {var!r} lists an index twice")
 
-    game = Game(agents, states, indist, actions, outcomes, _plays(plays), valuation)
+    fields = agents, states, indist, actions, outcomes, tuple(plays), valuation
+    game = _indexed_game(fields, (masks, {id(g[0]): g for g in shared.values()}))
     report = validate_game(game)
     if not report.ok:
         raise ValidationError(report.violations)

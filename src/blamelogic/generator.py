@@ -32,7 +32,7 @@ from itertools import islice, product
 from types import MappingProxyType
 
 from . import semantics
-from .game import Game, _indices, _plays
+from .game import Game, Play, _indexed_game, _indices
 from .hilbert import AXIOM_NAMES, DISJOINT, SCHEMAS, SUBSET, build_axiom
 from .syntax import (
     Blames,
@@ -168,7 +168,9 @@ def _draw(rng, n_agents, shape, branching, n_vars):
 
 
 def _build(agents, frame, valuation):
-    """The Game of a frame; valuation maps each variable to its play mask."""
+    """The Game of a frame; valuation maps each variable to its play mask.
+    The state masks and profile groups gathered while the plays are built
+    go to the index (game._indexed_game), which then does not walk them."""
     (n_states, n_actions, n_outcomes), parts, ids = frame
     states = tuple(f"s{i}" for i in range(n_states))
     actions = tuple(f"d{i}" for i in range(n_actions))
@@ -180,9 +182,20 @@ def _build(agents, frame, valuation):
             blocks.setdefault(label, set()).add(state)
         indist[agent] = tuple(map(frozenset, blocks.values()))
     profiles = _profiles(agents, actions)
-    plays = _plays((states[s], profiles[p], outcomes[o]) for s, p, o in ids)
+    plays = []
+    state_masks, group_masks = [0] * n_states, [0] * len(profiles)
+    new, bit = tuple.__new__, 1
+    for s, p, o in ids:
+        plays.append(new(Play, (states[s], profiles[p], outcomes[o])))
+        state_masks[s] |= bit
+        group_masks[p] |= bit
+        bit <<= 1
+    # a frame's plays run state by state, each over every profile in order,
+    # so both lists are in first-play order, with no mask left empty
+    groups = {id(pr): [pr, mask] for pr, mask in zip(profiles, group_masks)}
     valuation = {var: frozenset(_indices(mask)) for var, mask in valuation.items()}
-    return Game(tuple(agents), states, indist, actions, outcomes, plays, valuation)
+    fields = tuple(agents), states, indist, actions, outcomes, tuple(plays), valuation
+    return _indexed_game(fields, (dict(zip(states, state_masks)), groups))
 
 
 def gen_game(params: GenParams) -> Game:

@@ -34,12 +34,15 @@ from itertools import islice
 
 from .errors import (
     AtomBudgetExceededError,
+    FormulaDepthError,
     InvalidScriptError,
     ParseError,
     PhiNotPremiseError,
 )
 from .semantics import _ext
 from .syntax import (
+    MAX_DEPTH,
+    MAX_NODES,
     Blames,
     Formula,
     Implies,
@@ -339,7 +342,8 @@ def check_proof(script: ProofScript) -> CheckReport:
             return invalid(k, f"line numbering must be consecutive (got {line.index})")
         match line.justification:
             case Taut():
-                if not is_tautology_instance(line.formula, _memo=atoms):
+                formula = line.formula
+                if not (isinstance(formula, Formula) and is_tautology_instance(formula, _memo=atoms)):
                     return invalid(k, "not a tautology instance")
                 dep = False
             case Axiom(name):
@@ -392,7 +396,10 @@ def deduction_transform(script: ProofScript, phi: Formula) -> ProofScript:
     with the tautology f -> (phi -> f); premise-dependent modus ponens
     steps are replayed through the distribution tautology
     (phi -> a) -> ((phi -> (a -> b)) -> (phi -> b)).  Output length is at
-    most three times the input length.
+    most three times the input length.  An output formula past parse_formula's
+    bounds (more than MAX_NODES nodes or MAX_DEPTH levels) is a
+    FormulaDepthError naming, as parse_proof would, the first text line of
+    format_proof's output that holds one.
     """
     report = check_proof(script)
     if not report.valid:
@@ -402,11 +409,18 @@ def deduction_transform(script: ProofScript, phi: Formula) -> ProofScript:
     if phi not in script.premises:
         raise PhiNotPremiseError(f"not a premise: {print_formula(phi)}")
 
+    premises = tuple(p for p in script.premises if p != phi)
+    goal = Implies(phi, script.goal)
+    header = 1 + bool(premises)  # text lines before the proof lines
+    for f in premises:
+        _check_bounds(f, 1)
+    _check_bounds(goal, header)
     out = []
     imp_of = {}  # input line index -> output index proving (phi -> that formula)
     kept_of = {}  # input line index -> output index of its restated copy
 
     def emit(formula, justification):
+        _check_bounds(formula, header + len(out) + 1)
         out.append(ProofLine(len(out) + 1, formula, justification))
         return len(out)
 
@@ -433,8 +447,16 @@ def deduction_transform(script: ProofScript, phi: Formula) -> ProofScript:
             step = emit(Implies(out[b - 1].formula, target), MP(a, dist))
             imp_of[k] = emit(target, MP(b, step))
 
-    premises = tuple(p for p in script.premises if p != phi)
-    return ProofScript(premises, tuple(out), Implies(phi, script.goal))
+    return ProofScript(premises, tuple(out), goal)
+
+
+def _check_bounds(f: Formula, line: int):
+    """Raise FormulaDepthError, naming the text line, if parse_formula would
+    refuse f's printed text for its size or depth."""
+    if f.size > MAX_NODES:
+        raise FormulaDepthError(f"line {line}: formula too large")
+    if f.depth > MAX_DEPTH:
+        raise FormulaDepthError(f"line {line}: formula nested too deeply")
 
 
 # ---------------------------------------------------------------------------

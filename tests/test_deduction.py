@@ -1,7 +1,7 @@
 import pytest
 
 from _helpers import make_rng, random_premise_script
-from blamelogic.errors import InvalidScriptError, PhiNotPremiseError
+from blamelogic.errors import FormulaDepthError, InvalidScriptError, ParseError, PhiNotPremiseError
 from blamelogic.hilbert import (
     MP,
     Nec,
@@ -11,8 +11,19 @@ from blamelogic.hilbert import (
     Taut,
     check_proof,
     deduction_transform,
+    format_proof,
+    parse_proof,
 )
-from blamelogic.syntax import MAX_DEPTH, MAX_NODE_DEPTH, Implies, Knows, Var, parse_formula
+from blamelogic.syntax import (
+    MAX_DEPTH,
+    MAX_NODE_DEPTH,
+    MAX_NODES,
+    Implies,
+    Knows,
+    Var,
+    iff,
+    parse_formula,
+)
 
 p, q = Var("p"), Var("q")
 a = frozenset({"a"})
@@ -98,7 +109,10 @@ def test_transform_is_idempotent_on_remaining_premises():
 
 def test_discharges_a_premise_at_the_parser_depth_limit():
     # the weakening and distribution tautologies wrap the deepest line that
-    # parses in three more levels, which the constructors must accept
+    # parses in three more levels: the constructors and the tautology checker
+    # must accept them, and deduction_transform must refuse to return them,
+    # since parse_proof could not read them back; the first such text line
+    # of format_proof's output is the goal, line 2
     lhs = parse_formula("K{a}" * (MAX_DEPTH - 2) + "p")
     rhs = parse_formula("K{b}" * (MAX_DEPTH - 2) + "q")
     phi = Implies(lhs, rhs)
@@ -112,7 +126,33 @@ def test_discharges_a_premise_at_the_parser_depth_limit():
         ),
         rhs,
     )
-    out = deduction_transform(script, phi)
-    assert check_proof(out).valid
-    deepest = max(line.formula.depth for line in out.lines)
-    assert MAX_DEPTH < deepest <= MAX_NODE_DEPTH
+    with pytest.raises(FormulaDepthError, match="^line 2: formula nested too deeply$"):
+        deduction_transform(script, phi)
+    # line 3's distribution tautology, the deepest line the discharge builds
+    dist = Implies(Implies(phi, lhs), Implies(Implies(phi, phi), Implies(phi, rhs)))
+    assert check_proof(ProofScript((), (ProofLine(1, dist, Taut()),), dist)).valid
+    assert dist.depth == MAX_DEPTH + 3 <= MAX_NODE_DEPTH
+
+
+def test_names_the_first_deduced_line_past_the_parser_bounds():
+    # premises p ; D with D 198 `~` then q: discharging p weakens line 1 to
+    # `D -> p -> D`, 201 levels deep, on text line 4 of format_proof's output
+    deep = "~" * 198 + "q"
+    script = parse_proof(f"premises: p ; {deep}\ngoal: {deep}\n1. {deep} ; premise\n")
+    with pytest.raises(FormulaDepthError, match="^line 4: formula nested too deeply$"):
+        deduction_transform(script, p)
+    with pytest.raises(ParseError, match="^line 4: formula nested too deeply$"):
+        parse_proof(f"premises: {deep}\ngoal: p -> {deep}\n1. {deep} ; premise\n"
+                    f"2. {deep} -> p -> {deep} ; taut\n")
+    # a line of more than MAX_NODES nodes, its parts within both bounds
+    big = p
+    while big.size <= MAX_NODES // 2:
+        big = iff(big, q)
+    assert big.size <= MAX_NODES and big.depth <= MAX_DEPTH
+    script = ProofScript((p, big), (ProofLine(1, big, Premise()),), big)
+    with pytest.raises(FormulaDepthError, match="^line 4: formula too large$"):
+        deduction_transform(script, p)
+    # discharging big instead wraps it once a line, so the script parses back
+    script = ProofScript((p, big), (ProofLine(1, p, Premise()),), p)
+    out = deduction_transform(script, big)
+    assert parse_proof(format_proof(out)) == out

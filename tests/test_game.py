@@ -1,11 +1,14 @@
 import json
 import sys
 import time
-from itertools import product
+from itertools import islice, product
 from types import MappingProxyType
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from blamelogic import game as game_module
 
 from blamelogic.errors import (
     FormatError,
@@ -25,7 +28,7 @@ from blamelogic.game import (
     load_game_file,
     validate_game,
 )
-from blamelogic.generator import GenParams, gen_game
+from blamelogic.generator import GenParams, SearchBudget, _build, _candidates, gen_game
 
 BASE = {
     "agents": ["c"],
@@ -551,6 +554,115 @@ def test_validator_verdict_does_not_depend_on_shared_profiles(name):
         valuation={v: frozenset(ix) for v, ix in raw["valuation"].items()},
     )
     assert validate_game(game).violations == GOLDEN_VERDICTS[name][1]
+
+
+# ---------------------------------------------------------------------------
+# The index's two paths: masks gathered by the loader and the generator while
+# they build the plays, and the walk over the plays of a Game(...) built in code
+
+
+def _groups_by_profile(masks):
+    """The index's play groups, merged by their profiles' entries."""
+    out = {}
+    for profile, mask in masks.groups.values():
+        key = tuple(profile.items())
+        out[key] = out.get(key, 0) | mask
+    return out
+
+
+def _same_index(game, built):
+    m, b = game._masks, built._masks
+    assert list(m.state.items()) == list(b.state.items())  # in first-play order
+    assert (m.full, m.act, m.var) == (b.full, b.act, b.var)
+    assert [m.index[id(p)] for p in game.plays] == [b.index[id(p)] for p in built.plays]
+    assert _groups_by_profile(m) == _groups_by_profile(b)
+    report = validate_game(game)
+    assert report == validate_game(built)
+    if report.ok:  # the counts pass a valid game without walking its plays
+        with mock.patch.object(game_module, "_play_faults", side_effect=AssertionError):
+            assert validate_game(game) == validate_game(built) == report
+
+
+def _index_paths_agree(game):
+    """game's index and report against those of Game(...) built in code from
+    its plays, and from copies of them with one profile dict per play."""
+    fields = game.agents, game.states, game.indist, game.actions, game.outcomes
+    same = Game(*fields, game.plays, game.valuation)
+    assert list(game._masks.groups.items()) == list(same._masks.groups.items())
+    assert game._masks.index == same._masks.index
+    _same_index(game, same)
+    copies = tuple(Play(s, dict(profile), o) for s, profile, o in game.plays)
+    _same_index(game, Game(*fields, copies, game.valuation))
+
+
+def _loaded_unvalidated(doc):
+    """The Game load_game builds from doc and hands to the validator, or
+    None when the document is a FormatError before that."""
+    seen = []
+    validate = game_module.validate_game
+    with mock.patch.object(game_module, "validate_game", lambda g: seen.append(g) or validate(g)):
+        try:
+            load_game(json.dumps(doc))
+        except (FormatError, ValidationError):
+            pass
+    return seen[0] if seen else None
+
+
+@st.composite
+def _documents(draw):
+    """Game documents, total over their declared names or nearly so, with the
+    plays shuffled, profile keys in varied order, and a few plays off the model."""
+    agents = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    states = draw(st.lists(st.sampled_from("stu"), min_size=1, max_size=3, unique=True))
+    actions = ["x", "y"][: draw(st.integers(1, 2))]
+    outcomes = ["o", "p"][: draw(st.integers(1, 2))]
+    plays = [
+        (s, list(zip(agents, combo)), draw(st.sampled_from(outcomes)))
+        for s in states
+        for combo in product(actions, repeat=len(agents))
+    ]
+    odd = st.tuples(
+        st.sampled_from(states + ["z"]),
+        st.lists(st.tuples(st.sampled_from(agents + ["d"]), st.sampled_from(actions + ["w"]))),
+        st.sampled_from(outcomes + ["q"]),
+    )
+    plays = draw(st.permutations(plays + draw(st.lists(odd, max_size=3))))
+    plays = plays[draw(st.integers(0, 1)):]  # perhaps one play short of total
+    docs = [
+        {"state": s, "profile": dict(entries[::-1] if draw(st.booleans()) else entries),
+         "outcome": o}
+        for s, entries, o in plays
+    ]
+    indices = st.lists(st.integers(-1, len(docs)), unique=True)
+    valuation = draw(st.dictionaries(st.sampled_from(["v", "w"]), indices))
+    return {"agents": agents, "states": states, "actions": actions, "outcomes": outcomes,
+            "plays": docs, "valuation": valuation}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_documents())
+def test_loaded_index_matches_the_walk_on_random_documents(doc):
+    _index_paths_agree(_loaded_unvalidated(doc))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_loaded_index_matches_the_walk_on_the_golden_documents(name):
+    game = _loaded_unvalidated(GOLDEN_DOCUMENTS[name])
+    assert (game is None) == (GOLDEN_VERDICTS[name][0] == "FormatError")
+    if game is not None:
+        _index_paths_agree(game)
+
+
+def test_generated_index_matches_the_walk():
+    for seed in range(60):
+        sizes = [1 + seed % 3, 1 + seed % 4, 1 + seed // 4 % 3, 1 + seed // 12 % 3]
+        _index_paths_agree(gen_game(GenParams(*sizes, branching=0.4, seed=seed)))
+    # the search's frames, tiny and random, with their valuations
+    budget = SearchBudget(max_candidates=300)
+    for frame, masks in islice(_candidates(1, 2, budget), 0, None, 97):
+        _index_paths_agree(_build(("a",), frame, dict(zip(("p", "q"), masks))))
+    for frame, masks in islice(_candidates(2, 1, budget), 0, 3000, 37):
+        _index_paths_agree(_build(("a", "b"), frame, {"p": masks[0]}))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from blamelogic.hilbert import (
     AXIOM_NAMES,
     MAX_ATOMS,
     Axiom,
+    CheckReport,
     MP,
     Nec,
     Premise,
@@ -446,6 +447,18 @@ def test_hand_built_justifications_are_checked_not_raised(justification, reason)
 def test_script_with_no_lines_is_invalid():
     report = check_proof(ProofScript((), (), p))
     assert (report.valid, report.error_line, report.reason) == (False, 0, "script has no lines")
+
+
+@pytest.mark.parametrize("formula", ["p", None, 3, (), [], {}])
+def test_a_taut_line_that_is_not_a_formula_is_invalid(formula):
+    # reported as the other justifications report a non-formula line, while
+    # is_tautology_instance itself keeps its TypeError
+    report = check_proof(ProofScript((), (ProofLine(1, formula, Taut()),), p))
+    assert report == CheckReport(False, 1, "not a tautology instance", ())
+    for just in (Axiom("Truth-K"), Premise()):
+        assert not check_proof(ProofScript((), (ProofLine(1, formula, just),), p)).valid
+    with pytest.raises(TypeError):
+        is_tautology_instance(formula)
 
 
 def test_mp_shape_checked():
