@@ -134,14 +134,15 @@ class _Masks:
     -> `[profile, mask]`), both in first-play order, come from walked or one
     pass over the plays; then each play object's first position, the (agent,
     action) masks and the variable masks.  Coalition classes fill in on first
-    use (_classes).  The index holds no reference to the game.
+    use (_classes).  The index holds no reference to the game.  It is the
+    one-slot layout of semantics._ext: n plays, rep = 1.
     """
 
-    __slots__ = ("full", "state", "groups", "index", "act", "var", "classes")
+    __slots__ = ("full", "state", "groups", "index", "act", "var", "classes", "n", "rep")
 
     def __init__(self, game: Game, walked=None):
-        n = len(game.plays)
-        self.full = (1 << n) - 1
+        self.n = n = len(game.plays)
+        self.full, self.rep = (1 << n) - 1, 1
         self.state, self.groups = state, groups = walked or ({}, {})
         if walked is None:
             bit = 1
@@ -171,6 +172,14 @@ class _Masks:
                     digits[~i] = 49  # "1"
             var[name] = int(digits, 2)
         self.classes = {}
+
+    def spread(self, rep: int, var: dict) -> "_Masks":
+        """This index in every slot of rep, var its variable masks (see semantics._ext)."""
+        slots = object.__new__(_Masks)
+        slots.n, slots.rep, slots.full, slots.var, slots.classes = self.n, rep, self.full * rep, var, {}
+        slots.state = {s: mask * rep for s, mask in self.state.items()}
+        slots.act = {key: mask * rep for key, mask in self.act.items()}
+        return slots
 
 
 def _indices(mask: int) -> list:

@@ -9,7 +9,10 @@ violation witness that can be replayed.  A trial's instances are all built
 from one phi, psi and game, so they share one memo of subformula masks,
 made for the trial and dropped with it.  Countermodel search enumerates tiny game
 shapes exhaustively (smallest first) and then falls back to seeded random
-games until the candidate budget runs out.
+games until the candidate budget runs out.  When the games that a draw may
+give are few against the draws left, the search first checks them all, a
+frame at a time (_falsifiable), and draws nothing if none falsifies the
+formula; either way, None means that no candidate within the budget does.
 
 A random game is drawn as small ints, frame then valuation, in one call
 (_draw), and then built (_build); gen_game draws and builds, and the search
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import islice, product
+from itertools import combinations, islice, product
 from types import MappingProxyType
 
 from . import semantics
@@ -379,11 +382,59 @@ _RANDOM_SHAPE = (2, 2, 2, 0.15)  # most states, actions, outcomes; branching
 _TINY_SHAPES = (
     (1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1), (1, 2, 2), (2, 2, 1), (2, 1, 2), (2, 2, 2)
 )
+# every shape that a random game may draw
+_BOUNDED_SHAPES = tuple(product(*(range(1, k + 1) for k in _RANDOM_SHAPE[:3])))
+# most candidates per draw for the random phase's space to be checked whole
+# first: a candidate checked in a slot costs about a sixth of a draw
+_CHECK_RATIO = 4
 
 
-def _candidates(n_agents, n_vars, budget):
+def _valuations(n, n_vars):
+    """Every tuple of n_vars masks over n plays, in product order, made one
+    at a time (product would first copy all 2**n masks into a tuple)."""
+    if n_vars == 1:
+        return zip(range(1 << n))
+    return ((*high, low) for high in _valuations(n, n_vars - 1) for low in range(1 << n))
+
+
+def _frames(n_agents, shapes, branching):
+    """Each frame of the shapes: per shape, the outcomes of each (state,
+    profile) pair in product order, then the partitions.  A pair has one
+    outcome or, with branching, any nonempty set of them, its plays in
+    ascending outcome order."""
+    for shape in shapes:
+        n_states, n_actions, n_outcomes = shape
+        pairs = [(s, p) for s in range(n_states) for p in range(n_actions**n_agents)]
+        sizes = range(1, n_outcomes + 1 if branching else 2)
+        sets = [c for k in sizes for c in combinations(range(n_outcomes), k)]
+        # per agent, one block or two
+        labels = [(0,)] if n_states == 1 else [(0, 0), (0, 1)]
+        part_choices = list(product(labels, repeat=n_agents))
+        for chosen in product(sets, repeat=len(pairs)):
+            plays = tuple([(s, p, o) for (s, p), outs in zip(pairs, chosen) for o in outs])
+            for parts in part_choices:
+                yield shape, parts, plays
+
+
+def _space(n_agents, n_vars, limit):
+    """How many candidates (frame, valuation) the random phase's bounded
+    space holds, _frames(n_agents, _BOUNDED_SHAPES, True) under every
+    valuation, or limit + 1 once the count passes limit, so that no count
+    builds a huge int."""
+    total = 0
+    for n_states, n_actions, n_outcomes in _BOUNDED_SHAPES:
+        # a pair's valuations, summed over its nonempty outcome sets, are at
+        # least 2, so more pairs than limit has bits pass the limit
+        per_pair = (1 + 2**n_vars) ** n_outcomes - 1
+        pairs = min(n_states * n_actions**n_agents, limit.bit_length() + 1)
+        total += (1 + (n_states > 1)) ** n_agents * per_pair**pairs  # partitions * pairs
+    return min(total, limit + 1)
+
+
+def _candidates(n_agents, n_vars, budget, draw_if=None):
     """(frame, valuation masks) of each candidate, in search order: the tiny
-    frames with every valuation, then one random game per draw.
+    frames with every valuation, then one random game per draw, unless
+    draw_if, given, returns false when called with the count of tiny games.
 
     Every random candidate draws its shape (through _below), then its frame
     and valuation (one _draw call), from one generator seeded with
@@ -391,18 +442,13 @@ def _candidates(n_agents, n_vars, budget):
     n_vars and the seed, and a budget's candidates are a prefix of a larger
     budget's.
     """
-    for shape in _TINY_SHAPES:
-        n_states, n_actions, n_outcomes = shape
-        pairs = [(s, p) for s in range(n_states) for p in range(n_actions**n_agents)]
-        # per agent, one block or two
-        labels = [(0,)] if n_states == 1 else [(0, 0), (0, 1)]
-        part_choices = list(product(labels, repeat=n_agents))
-        for assignment in product(range(n_outcomes), repeat=len(pairs)):
-            plays = tuple((s, p, o) for (s, p), o in zip(pairs, assignment))
-            for parts in part_choices:
-                frame = (shape, parts, plays)
-                for masks in product(range(1 << len(plays)), repeat=n_vars):
-                    yield frame, masks
+    tiny = 0
+    for frame in _frames(n_agents, _TINY_SHAPES, False):
+        for masks in _valuations(len(frame[2]), n_vars):
+            yield frame, masks
+        tiny += 1 << len(frame[2]) * n_vars
+    if draw_if is not None and not draw_if(tiny):
+        return
     num_states, num_actions, num_outcomes, branching = _RANDOM_SHAPE
     rng = random.Random(derive_seed(budget.seed, 7))
     bits = rng.getrandbits
@@ -415,13 +461,50 @@ def _candidates(n_agents, n_vars, budget):
         yield _draw(rng, n_agents, shape, branching, n_vars)
 
 
+def _layout(n, n_vars):
+    """(rep, one mask per variable) of the slot layout of frames of n plays:
+    slot j, bits j*(n+1) up, holds valuation j of _valuations(n, n_vars) in
+    its n play bits, then a clear guard bit; rep has the lowest bit of each."""
+    rows = list(_valuations(n, n_vars))[::-1]  # the last slot first, as int(text, 2) reads
+    rep = int(("0" * n + "1") * len(rows), 2)
+    return rep, [int("".join(format(m, f"0{n + 1}b") for m in masks), 2) for masks in zip(*rows)]
+
+
+def _falsifiable(formula, agents, variables):
+    """Does some game that a random draw may give falsify the formula?
+
+    The frames of _frames(..., _BOUNDED_SHAPES, True) under every valuation
+    hold every such game, up to the order of a pair's plays, which does not
+    matter when every valuation is checked.  A frame is evaluated in one
+    _ext pass over its slot layout (_layout), its play masks spread over the
+    slots, and tiny frames are skipped: the tiny phase has checked them.
+    """
+    layouts = {}  # plays per frame -> its _layout, for this call
+    for frame in _frames(len(agents), _BOUNDED_SHAPES, True):
+        shape, _, plays = frame
+        n = len(plays)
+        if shape in _TINY_SHAPES and n == shape[0] * shape[1] ** len(agents):
+            continue
+        if n not in layouts:
+            layouts[n] = _layout(n, len(variables))
+        rep, patterns = layouts[n]
+        game = _build(agents, frame, {})
+        slots = game._masks.spread(rep, dict(zip(variables, patterns)))
+        if slots.full & ~semantics._ext(formula, slots.full, game, slots, {}):
+            return True
+    return False
+
+
 def find_countermodel(formula: Formula, budget: SearchBudget = None):
     """Search for (game, play index) falsifying the formula, within budget,
     a SearchBudget (None means the default one).
 
     Candidate games use exactly the formula's agents and variables (with
-    placeholders when it has none).  Returns None when the budget is
-    exhausted; a returned play index is the lowest falsifying one.
+    placeholders when it has none).  Returns None when no candidate within
+    the budget falsifies the formula: after the tiny games, either every
+    random candidate was checked, or no game that a random draw may give
+    does (_falsifiable, run when those games number at most _CHECK_RATIO
+    per draw left).  A returned play index is the lowest falsifying one.
     """
     if budget is None:
         budget = SearchBudget()
@@ -430,8 +513,14 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
     atoms = tuple(map(Var, variables))
+    n_agents, n_vars = len(agents), len(variables)
+
+    def draw_if(tiny):  # the tiny games are done, inside the budget
+        limit = _CHECK_RATIO * (budget.max_candidates - tiny)
+        return _space(n_agents, n_vars, limit) > limit or _falsifiable(formula, agents, variables)
+
     frames = {}  # frame -> (its Game with no valuation, its masks, its valuations checked)
-    stream = _candidates(len(agents), len(variables), budget)
+    stream = _candidates(n_agents, n_vars, budget, draw_if)
     for frame, valuation in islice(stream, budget.max_candidates):
         entry = frames.get(frame)
         if entry is None:

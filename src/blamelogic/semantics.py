@@ -25,6 +25,9 @@ order) finds a choice whose action masks leave no f-play of the class; the
 walk stops as soon as the remaining mask is empty, so it visits at most
 |plays| * |C| nonempty prefixes per class instead of |actions|^|C|
 strategies.  A choice matching no play of the class prevents vacuously.
+The same pass evaluates many valuations of one frame at once when their
+play masks lie side by side in slots (see _ext), as the countermodel
+search lays them out; a game's own index is the one-slot case.
 
 Per call the work is O(|formula| * |plays| / word size) plus the blame
 walks, where |formula| counts distinct subformulas: formulas are interned
@@ -42,23 +45,55 @@ from .game import Game, Play, Strategy, _classes, _coalition, _indices, _Masks
 from .syntax import Blames, Formula, Implies, Knows, Neg, Var
 
 
-def _prevent(rest: int, members, actions, act: dict):
-    """First choice (one action per member) whose plays miss `rest`, else None.
+def _prevent(rest: int, pending: int, members, actions, masks: _Masks) -> int:
+    """The slots of pending (one bit each, as in masks.rep) where some choice,
+    one action per member, has no play in `rest`.
 
-    Choices are ordered lexicographically: members in the given order,
-    actions in declared order.
+    The walk takes the choices in lexicographic order, members in the given
+    order and actions in declared order, and stops when no slot is pending.
     """
-    if not members:
-        return () if not rest else None
-    agent, others = members[0], members[1:]
-    for action in actions:
-        left = rest & act.get((agent, action), 0)
+    done = 0
+    if members:
+        act, rep = masks.act, masks.rep
+        agent, others = members[0], members[1:]
+        for action in actions:
+            left = rest & act.get((agent, action), 0)
+            # the pending slots where left has a play: with one slot, any play
+            busy = left and (pending if rep == 1 else (left + masks.full) >> masks.n & pending)
+            if busy != pending:
+                done |= pending ^ busy
+                if not busy:
+                    break
+                pending = busy
+            if others:
+                found = _prevent(left, pending, others, actions, masks)
+                if found:
+                    done |= found
+                    pending ^= found
+                    if not pending:
+                        break
+    return done
+
+
+def _choice(rest: int, members, actions, masks: _Masks):
+    """First choice (one action per member) whose plays miss `rest`, a mask
+    over one slot, else None: each member in turn takes the first action
+    after which the later members can still miss what is left (_prevent).
+    """
+    choice = []
+    for i, agent in enumerate(members):
+        others = members[i + 1 :]
+        for action in actions:
+            left = rest & masks.act.get((agent, action), 0)
+            if not left or _prevent(left, 1, others, actions, masks):
+                break
+        else:
+            return None
+        choice.append(action)
         if not left:
-            return (action,) + (actions[0],) * len(others)
-        tail = _prevent(left, others, actions, act)
-        if tail is not None:
-            return (action,) + tail
-    return None
+            return (*choice, *(actions[0],) * len(others))
+        rest = left
+    return None if rest else ()
 
 
 def extension_mask(game: Game, formula: Formula) -> int:
@@ -75,6 +110,13 @@ def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
     game's play masks; a tautology check passes truth-table rows as the
     index space and every atom's mask in memo, with no game, so only the
     connectives are read.
+
+    The play masks may lie in slots side by side, each n = masks.n play
+    bits and a guard bit that full leaves clear, and masks.rep has the
+    lowest bit of each slot; a game's own index is one slot, rep = 1.
+    Adding full to a mask carries into the guard bit of each slot where the
+    mask has a play, so K finds the slots where a class meets a false play
+    with one add, and B walks the choices over the slots still pending.
     """
     mask = memo.get(f)
     if mask is not None:
@@ -93,14 +135,22 @@ def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
             for block in _classes(game, masks, c):
                 if not block & false:
                     mask |= block
+                elif masks.rep != 1:  # the class holds in the slots where it has no false play
+                    n, rep = masks.n, masks.rep
+                    held = rep ^ ((block & false) + full) >> n & rep
+                    mask |= block & (held << n) - held  # each slot's bit over its plays
         case Blames(c, inner):
             true = _ext(inner, full, game, masks, memo)
             members = sorted(c)
+            n, rep = masks.n, masks.rep
             mask = 0
             for block in _classes(game, masks, c):
                 rest = block & true
-                if rest and _prevent(rest, members, game.actions, masks.act) is not None:
-                    mask |= rest
+                if rest:
+                    pending = 1 if rep == 1 else (rest + full) >> n & rep  # the slots where rest has a play
+                    done = _prevent(rest, pending, members, game.actions, masks)
+                    if done:
+                        mask |= rest if done == pending else rest & (done << n) - done
         case _:
             raise TypeError(f"not a formula node: {f!r}")
     memo[f] = mask
@@ -149,7 +199,7 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
     members = sorted(coalition)
     for block in classes:
         if block & bit:
-            choice = _prevent(block & true, members, game.actions, masks.act)
+            choice = _choice(block & true, members, game.actions, masks)
             return None if choice is None else Strategy(coalition, dict(zip(members, choice)))
     return None
 

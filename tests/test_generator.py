@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ import _helpers
 from _helpers import (
     identity_empty_classes,
     naive_evaluate,
+    rand_formula,
     reference_candidates,
     reference_find_countermodel,
 )
@@ -405,8 +410,11 @@ def test_below_takes_the_draws_of_randrange_choice_and_randint():
 
 
 def test_truth_search_draws_a_valuation_for_every_random_candidate(monkeypatch):
-    # Truth-K with one agent and one variable exhausts the default budget:
-    # 610 tiny games, then 4390 random candidates, each drawn whole
+    # Truth-K with one agent and one variable: 610 tiny games, then at a
+    # budget of 1500, 890 random candidates, each drawn whole, since the
+    # 8,438 games that a draw may give are more than four per draw.  At the
+    # default budget they are fewer than four per draw (4,390), so the search
+    # checks them all before drawing, finds no countermodel and draws none
     drawn = []
     draw = generator._draw
 
@@ -416,10 +424,11 @@ def test_truth_search_draws_a_valuation_for_every_random_candidate(monkeypatch):
 
     monkeypatch.setattr(generator, "_draw", counted)
     formula = parse_formula("K{a}p -> p")
-    budget = SearchBudget()
-    assert find_countermodel(formula, budget) is None
-    assert len(drawn) == 4390
-    assert reference_find_countermodel(formula, budget) is None
+    for budget, draws in ((SearchBudget(1500), 890), (SearchBudget(), 0)):
+        drawn.clear()
+        assert find_countermodel(formula, budget) is None
+        assert len(drawn) == draws, budget
+        assert reference_find_countermodel(formula, budget) is None
 
 
 def test_random_frames_come_from_one_generator_whatever_the_formula(monkeypatch):
@@ -462,3 +471,136 @@ def test_random_phase_with_repeated_frames_returns_what_a_game_per_candidate_sea
     for text in ("~K{a}p", "~K{}p"):
         for seed in range(40):
             _assert_same_search(parse_formula(text), SearchBudget(300, seed))
+
+
+def test_valuations_come_in_product_order_one_at_a_time():
+    for n, n_vars in ((1, 1), (3, 1), (2, 2), (1, 3)):
+        expected = list(product(range(1 << n), repeat=n_vars))
+        assert list(generator._valuations(n, n_vars)) == expected
+    # product would first copy 2**40 masks into a tuple
+    assert next(generator._valuations(40, 2)) == (0, 0)
+
+
+@pytest.mark.parametrize("agents, variables", [(1, 1), (1, 2), (2, 1)])
+def test_space_counts_the_candidates_of_the_bounded_frames(agents, variables):
+    frames = generator._frames(agents, generator._BOUNDED_SHAPES, True)
+    count = sum(1 << len(plays) * variables for _, _, plays in frames)
+    assert generator._space(agents, variables, count) == count
+    assert generator._space(agents, variables, count - 1) == count
+
+
+def test_space_stops_at_its_limit():
+    assert generator._space(1, 1, 10**9) == 8438
+    # 200 agents give 2**200 profiles per state: the count stops past 5000
+    assert generator._space(200, 3, 5000) == 5001
+
+
+def _child(code):
+    """Run code in a child Python limited to 2 GB of address space, so that a
+    search that asks for an astronomically large tuple fails there."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(generator.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        preexec_fn=cap, timeout=120,
+    )
+
+
+def test_search_over_five_agents_enumerates_valuations_lazily():
+    # the tiny frame of one state and two actions has 32 plays, so 2**32
+    # valuations, which the default budget leaves mostly unvisited
+    proc = _child(
+        "from blamelogic.generator import find_countermodel\n"
+        "from blamelogic.syntax import parse_formula\n"
+        "print(find_countermodel(parse_formula('K{a,b,c,d,e}p -> p')))\n"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None\n", "")
+
+
+def test_cli_search_over_five_agents_says_none():
+    proc = _child(
+        "import sys\n"
+        "from blamelogic.cli import main\n"
+        "sys.exit(main(['search', '--formula', 'K{a,b,c,d,e}p -> p']))\n"
+    )
+    assert (proc.returncode, proc.stdout) == (0, "none\n")
+    assert "Traceback" not in proc.stderr
+
+
+def _brute_prevent(rest, pending, members, actions, masks):
+    # the walk of one slot, written as a loop over every choice
+    for choice in product(actions, repeat=len(members)):
+        plays = rest
+        for agent, action in zip(members, choice):
+            plays &= masks.act.get((agent, action), 0)
+        if not plays:
+            return pending
+    return 0
+
+
+@pytest.mark.parametrize(
+    "agents, shapes",
+    [(("a",), generator._BOUNDED_SHAPES), (("a", "b"), ((2, 2, 1), (1, 2, 2)))],
+    ids=["one-agent-space", "two-agents"],
+)
+def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch):
+    # every frame of the shapes, under every valuation of one variable: the
+    # slot pass of each frame (the engine's walk) against one _ext call per
+    # candidate, whose B tries every choice in turn; for one agent that is
+    # all 8,438 games that a random draw may give.  The fixed formulas take
+    # K and B over the empty, a single and the full coalition
+    rng = random.Random(25)
+    texts = ["K{a}p -> p", "B{a}p -> p", "B{a}p -> K{a}p", "p -> B{a}p", "~B{}p", "K{}p"]
+    if len(agents) == 2:
+        texts += ["B{a,b}p -> B{a}p", "B{a,b}~p | K{a,b}p", "B{b}(p -> B{a,b}p)"]
+    formulas = [parse_formula(text) for text in texts]
+    formulas += [rand_formula(rng, 3, (("p",), agents)) for _ in texts]
+    p = Var("p")
+    layouts = {}
+    cases = []
+    for frame in generator._frames(len(agents), shapes, True):
+        n = len(frame[2])
+        if n not in layouts:
+            layouts[n] = generator._layout(n, 1)
+        rep, (pattern,) = layouts[n]
+        game = generator._build(agents, frame, {})
+        slots = game._masks.spread(rep, {"p": pattern})
+        for f in formulas:
+            mask = semantics._ext(f, slots.full, game, slots, {})
+            assert not mask & ~slots.full  # the guard bits stay clear
+            cases.append((game, f, n, mask))
+    monkeypatch.setattr(semantics, "_prevent", _brute_prevent)
+    for game, f, n, mask in cases:
+        masks = game._masks
+        for j in range(1 << n):
+            one = semantics._ext(f, masks.full, game, masks, {p: j})
+            assert mask >> j * (n + 1) & masks.full == one, (game, j, print_formula(f))
+
+
+def test_random_phase_after_the_bounded_check_returns_what_a_game_per_candidate_search_returns(
+    monkeypatch,
+):
+    # with no tiny phase, a budget of 3000 leaves 3000 draws, against which
+    # the 8,438 one-agent, one-variable games are few: the search checks
+    # them all first and draws only when one falsifies the formula, so the
+    # countermodels below still come from the random draws
+    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
+    monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
+    checked = []
+    check = generator._falsifiable
+
+    def spied(*args):
+        checked.append(check(*args))
+        return checked[-1]
+
+    monkeypatch.setattr(generator, "_falsifiable", spied)
+    texts = ["B{a}p -> K{a}p", "p -> K{a}p", "p -> B{a}p", "~K{a}p", "~K{}p", "K{a}p -> p"]
+    for text in texts:
+        _assert_same_search(parse_formula(text), SearchBudget(3000, 5))
+    assert checked == [True] * 5 + [False]
