@@ -159,7 +159,7 @@ def _cmd_search(args):
     from .generator import SearchBudget, find_countermodel
 
     formula = parse_formula(args.formula)
-    found = find_countermodel(formula, SearchBudget(args.budget, args.seed))
+    found = find_countermodel(formula, SearchBudget(args.budget))
     if found is None:
         return {"verdict": "none"}, 0, "none"
     game, idx = found
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("sweep", _cmd_sweep, "axiom soundness sweep over random games",
         ("--trials", {"type": int, "default": 1000, "metavar": "N"}), seed_flag)
     add("search", _cmd_search, "bounded countermodel search", formula_flag,
-        ("--budget", {"type": int, "default": 5000, "metavar": "N"}), seed_flag)
+        ("--budget", {"type": int, "default": 5000, "metavar": "N"}))
     return parser
 
 

@@ -7,31 +7,29 @@ instantiates every axiom schema over generated games and computes each
 instance's extension over all plays; any falsifying play is reported as a
 violation witness that can be replayed.  A trial's instances are all built
 from one phi, psi and game, so they share one memo of subformula masks,
-made for the trial and dropped with it.  Countermodel search enumerates tiny game
-shapes exhaustively (smallest first) and then falls back to seeded random
-games until the candidate budget runs out.  When the games that a draw may
-give are few against the draws left, the search first checks them all, a
-frame at a time (_falsifiable), and draws nothing if none falsifies the
-formula; either way, None means that no candidate within the budget does.
+made for the trial and dropped with it.
 
 A random game is drawn as small ints, frame then valuation, in one call
-(_draw), and then built (_build); gen_game draws and builds, and the search
-only draws.  Integer draws read getrandbits with CPython's own _randbelow
-loop (_below, which _draw writes out in its loops), so they take the values
-randrange, choice and randint would.  The search works frame by frame: a
-frame is a game without its valuation, and each distinct frame gets one
-valuation-free Game and its play masks for the call.  Each distinct
-candidate (frame, one mask per variable) is evaluated once against them; a
-duplicate still counts against the budget.  Every random candidate is drawn,
-shape, frame and valuation, from one generator seeded once per search.
-Only the countermodel returned is built as a Game of its own.
+(_draw), and then built (_build).  Integer draws read getrandbits with
+CPython's own _randbelow loop, written out in _draw's loops, so they take
+the values randrange, choice and randint would.
+
+Countermodel search draws nothing: it walks one bounded space of games, of
+at most two states, actions and outcomes, in a fixed order until the
+candidate budget or the space runs out, so None means that no candidate
+within the budget falsifies the formula.  A frame is a game without its
+valuation (_frames gives them in walk order, smallest shape first), and a
+candidate is a frame under one valuation.  Each frame gets one
+valuation-free Game, and its valuations are evaluated side by side, in
+batches of slots (_layout), one _ext pass per batch.  Only the
+countermodel returned is built as a Game of its own.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from types import MappingProxyType
 
 from . import semantics
@@ -97,17 +95,6 @@ def derive_seed(seed: int, *salts: int) -> int:
     return value
 
 
-def _below(bits, n):
-    """Random._randbelow_with_getrandbits(n), n >= 1, of the generator whose
-    getrandbits is bits (one loop in CPython 3.10-3.13): randrange(n) and
-    choice(range(n)) draw this, and randint(1, n) draws 1 + this."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def _profiles(agents, actions):
     """Every complete profile, in product order, one dict each.
 
@@ -125,7 +112,7 @@ def _draw(rng, n_agents, shape, branching, n_vars):
     partition's labels number its blocks by first appearance, so that equal
     partitions get equal labels; profile ids count in _profiles order; bit i
     of a mask is play i.  The draws are partitions, then plays, then masks,
-    each integer draw _below's loop written out.
+    each integer draw CPython's _randbelow loop written out.
     """
     bits, random = rng.getrandbits, rng.random
     n_states, n_actions, n_outcomes = shape
@@ -362,137 +349,67 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits of find_countermodel: max_candidates counts every game it
-    checks (the exhaustive tiny games, then random games of at most two
-    states, actions and outcomes), and seed seeds the one generator that
-    draws all the random games."""
+    checks, each candidate of the bounded space at most once."""
 
     max_candidates: int = 5000
-    seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
         if type(self.max_candidates) is not int:
             raise ValueError("max_candidates must be an integer")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
 
 
-_RANDOM_SHAPE = (2, 2, 2, 0.15)  # most states, actions, outcomes; branching
-# (states, actions, outcomes) of the exhaustive tiny games, smallest first
+# (states, actions, outcomes) of the searched games, smallest first
 _TINY_SHAPES = (
     (1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1), (1, 2, 2), (2, 2, 1), (2, 1, 2), (2, 2, 2)
 )
-# every shape that a random game may draw
-_BOUNDED_SHAPES = tuple(product(*(range(1, k + 1) for k in _RANDOM_SHAPE[:3])))
-# most candidates per draw for the random phase's space to be checked whole
-# first: a candidate checked in a slot costs about a sixth of a draw
-_CHECK_RATIO = 4
+# most valuations of a frame checked in one _ext pass: a power of two, as
+# each frame's count of valuations is, so a frame of more splits into whole
+# batches, each starting at a multiple of it
+_SLOTS = 1 << 12
 
 
-def _valuations(n, n_vars):
-    """Every tuple of n_vars masks over n plays, in product order, made one
-    at a time (product would first copy all 2**n masks into a tuple)."""
-    if n_vars == 1:
-        return zip(range(1 << n))
-    return ((*high, low) for high in _valuations(n, n_vars - 1) for low in range(1 << n))
+def _frames(n_agents):
+    """Each frame of the search, in walk order: the frames of every shape
+    with one outcome per (state, profile) pair, then those where some pair
+    has more, shape by shape both times.  A shape's pairs take their
+    outcome sets in product order, sets by size and then in order, the
+    plays of a pair in ascending outcome order; then come the partitions,
+    each agent's one block or two."""
+    for branching in (False, True):
+        for shape in _TINY_SHAPES:
+            n_states, n_actions, n_outcomes = shape
+            pairs = [(s, p) for s in range(n_states) for p in range(n_actions**n_agents)]
+            sizes = range(1, n_outcomes + 1 if branching else 2)
+            sets = [c for k in sizes for c in combinations(range(n_outcomes), k)]
+            labels = [(0,)] if n_states == 1 else [(0, 0), (0, 1)]
+            part_choices = list(product(labels, repeat=n_agents))
+            for chosen in product(sets, repeat=len(pairs)):
+                plays = tuple([(s, p, o) for (s, p), outs in zip(pairs, chosen) for o in outs])
+                if branching and len(plays) == len(pairs):
+                    continue  # one outcome per pair: the first pass walked it
+                for parts in part_choices:
+                    yield shape, parts, plays
 
 
-def _frames(n_agents, shapes, branching):
-    """Each frame of the shapes: per shape, the outcomes of each (state,
-    profile) pair in product order, then the partitions.  A pair has one
-    outcome or, with branching, any nonempty set of them, its plays in
-    ascending outcome order."""
-    for shape in shapes:
-        n_states, n_actions, n_outcomes = shape
-        pairs = [(s, p) for s in range(n_states) for p in range(n_actions**n_agents)]
-        sizes = range(1, n_outcomes + 1 if branching else 2)
-        sets = [c for k in sizes for c in combinations(range(n_outcomes), k)]
-        # per agent, one block or two
-        labels = [(0,)] if n_states == 1 else [(0, 0), (0, 1)]
-        part_choices = list(product(labels, repeat=n_agents))
-        for chosen in product(sets, repeat=len(pairs)):
-            plays = tuple([(s, p, o) for (s, p), outs in zip(pairs, chosen) for o in outs])
-            for parts in part_choices:
-                yield shape, parts, plays
+def _valuation(v, n, n_vars):
+    """The masks of valuation v of a frame of n plays, one per variable, in
+    the product order of the masks: the last variable's mask is v's lowest
+    n bits."""
+    return [v >> n * k & (1 << n) - 1 for k in range(n_vars - 1, -1, -1)]
 
 
-def _space(n_agents, n_vars, limit):
-    """How many candidates (frame, valuation) the random phase's bounded
-    space holds, _frames(n_agents, _BOUNDED_SHAPES, True) under every
-    valuation, or limit + 1 once the count passes limit, so that no count
-    builds a huge int."""
-    total = 0
-    for n_states, n_actions, n_outcomes in _BOUNDED_SHAPES:
-        # a pair's valuations, summed over its nonempty outcome sets, are at
-        # least 2, so more pairs than limit has bits pass the limit
-        per_pair = (1 + 2**n_vars) ** n_outcomes - 1
-        pairs = min(n_states * n_actions**n_agents, limit.bit_length() + 1)
-        total += (1 + (n_states > 1)) ** n_agents * per_pair**pairs  # partitions * pairs
-    return min(total, limit + 1)
-
-
-def _candidates(n_agents, n_vars, budget, draw_if=None):
-    """(frame, valuation masks) of each candidate, in search order: the tiny
-    frames with every valuation, then one random game per draw, unless
-    draw_if, given, returns false when called with the count of tiny games.
-
-    Every random candidate draws its shape (through _below), then its frame
-    and valuation (one _draw call), from one generator seeded with
-    derive_seed(budget.seed, 7), so the stream depends only on n_agents,
-    n_vars and the seed, and a budget's candidates are a prefix of a larger
-    budget's.
-    """
-    tiny = 0
-    for frame in _frames(n_agents, _TINY_SHAPES, False):
-        for masks in _valuations(len(frame[2]), n_vars):
-            yield frame, masks
-        tiny += 1 << len(frame[2]) * n_vars
-    if draw_if is not None and not draw_if(tiny):
-        return
-    num_states, num_actions, num_outcomes, branching = _RANDOM_SHAPE
-    rng = random.Random(derive_seed(budget.seed, 7))
-    bits = rng.getrandbits
-    for _ in range(budget.max_candidates):
-        shape = (
-            1 + _below(bits, num_states),
-            1 + _below(bits, num_actions),
-            1 + _below(bits, num_outcomes),
-        )
-        yield _draw(rng, n_agents, shape, branching, n_vars)
-
-
-def _layout(n, n_vars):
-    """(rep, one mask per variable) of the slot layout of frames of n plays:
-    slot j, bits j*(n+1) up, holds valuation j of _valuations(n, n_vars) in
-    its n play bits, then a clear guard bit; rep has the lowest bit of each."""
-    rows = list(_valuations(n, n_vars))[::-1]  # the last slot first, as int(text, 2) reads
-    rep = int(("0" * n + "1") * len(rows), 2)
-    return rep, [int("".join(format(m, f"0{n + 1}b") for m in masks), 2) for masks in zip(*rows)]
-
-
-def _falsifiable(formula, agents, variables):
-    """Does some game that a random draw may give falsify the formula?
-
-    The frames of _frames(..., _BOUNDED_SHAPES, True) under every valuation
-    hold every such game, up to the order of a pair's plays, which does not
-    matter when every valuation is checked.  A frame is evaluated in one
-    _ext pass over its slot layout (_layout), its play masks spread over the
-    slots, and tiny frames are skipped: the tiny phase has checked them.
-    """
-    layouts = {}  # plays per frame -> its _layout, for this call
-    for frame in _frames(len(agents), _BOUNDED_SHAPES, True):
-        shape, _, plays = frame
-        n = len(plays)
-        if shape in _TINY_SHAPES and n == shape[0] * shape[1] ** len(agents):
-            continue
-        if n not in layouts:
-            layouts[n] = _layout(n, len(variables))
-        rep, patterns = layouts[n]
-        game = _build(agents, frame, {})
-        slots = game._masks.spread(rep, dict(zip(variables, patterns)))
-        if slots.full & ~semantics._ext(formula, slots.full, game, slots, {}):
-            return True
-    return False
+def _layout(n, n_vars, count):
+    """(rep, one mask per variable) of the slot layout of valuations
+    0..count-1 of frames of n plays: slot j, bits j*(n+1) up, holds
+    valuation j in its n play bits, then a clear guard bit; rep has the
+    lowest bit of each slot."""
+    fmt, low = f"0{n + 1}b", (1 << n) - 1
+    slots = range(count - 1, -1, -1)  # the last slot first, as int(text, 2) reads
+    rep = int(("0" * n + "1") * count, 2)
+    shifts = range(n * (n_vars - 1), -1, -n)  # _valuation's, variable by variable
+    return rep, [int("".join([format(v >> k & low, fmt) for v in slots]), 2) for k in shifts]
 
 
 def find_countermodel(formula: Formula, budget: SearchBudget = None):
@@ -500,11 +417,11 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
     a SearchBudget (None means the default one).
 
     Candidate games use exactly the formula's agents and variables (with
-    placeholders when it has none).  Returns None when no candidate within
-    the budget falsifies the formula: after the tiny games, either every
-    random candidate was checked, or no game that a random draw may give
-    does (_falsifiable, run when those games number at most _CHECK_RATIO
-    per draw left).  A returned play index is the lowest falsifying one.
+    placeholders when it has none).  The search checks the candidates of
+    _frames in order, each frame's valuations in product order, and stops
+    after budget.max_candidates of them or at the end of the bounded space.
+    It returns the first candidate that falsifies the formula, with its
+    lowest falsifying play, or None when no candidate checked does.
     """
     if budget is None:
         budget = SearchBudget()
@@ -512,27 +429,28 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
         raise TypeError(f"budget must be a SearchBudget or None, not {type(budget).__name__}")
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
-    atoms = tuple(map(Var, variables))
-    n_agents, n_vars = len(agents), len(variables)
-
-    def draw_if(tiny):  # the tiny games are done, inside the budget
-        limit = _CHECK_RATIO * (budget.max_candidates - tiny)
-        return _space(n_agents, n_vars, limit) > limit or _falsifiable(formula, agents, variables)
-
-    frames = {}  # frame -> (its Game with no valuation, its masks, its valuations checked)
-    stream = _candidates(n_agents, n_vars, budget, draw_if)
-    for frame, valuation in islice(stream, budget.max_candidates):
-        entry = frames.get(frame)
-        if entry is None:
-            game = _build(agents, frame, {})
-            entry = frames[frame] = (game, game._masks, set())
-        game, masks, checked = entry
-        if valuation in checked:
-            continue
-        checked.add(valuation)
-        memo = dict(zip(atoms, valuation))
-        missing = masks.full & ~semantics._ext(formula, masks.full, game, masks, memo)
-        if missing:
-            countermodel = _build(agents, frame, dict(zip(variables, valuation)))
-            return countermodel, (missing & -missing).bit_length() - 1
+    n_vars, left = len(variables), budget.max_candidates
+    layouts = {}  # (plays per frame, slots) -> (rep, variable -> mask) of its _layout
+    for frame in _frames(len(agents)):
+        n = len(frame[2])
+        game = _build(agents, frame, {})
+        total = 1 << n * n_vars
+        for start in range(0, total, _SLOTS):
+            count = min(total, _SLOTS, left)
+            if (n, count) not in layouts:
+                rep, patterns = _layout(n, n_vars, count)
+                layouts[n, count] = rep, dict(zip(variables, patterns))
+            rep, var = layouts[n, count]
+            if start:  # a multiple of _SLOTS: valuation start + j is start's masks OR'd with j's
+                high = _valuation(start, n, n_vars)
+                var = {x: pattern | mask * rep for (x, pattern), mask in zip(var.items(), high)}
+            slots = game._masks.spread(rep, var)
+            missing = slots.full & ~semantics._ext(formula, slots.full, game, slots, {})
+            if missing:
+                j, play = divmod((missing & -missing).bit_length() - 1, n + 1)
+                valuation = _valuation(start + j, n, n_vars)
+                return _build(agents, frame, dict(zip(variables, valuation))), play
+            left -= count
+            if not left:
+                return None
     return None

@@ -4,8 +4,9 @@ naive_evaluate reimplements the satisfaction relation directly from its
 definition: no caching, indistinguishability by scanning partition blocks,
 and the blame clause as a literal exists/forall double loop (naive_witness).  It is the
 reference the fast evaluator is compared against.  reference_find_countermodel
-is the countermodel search as first written, building and evaluating one Game
-per candidate; the frame-by-frame search must return exactly its results.
+is the countermodel search written plainly, building and evaluating one Game
+per candidate in the search's order; the search, which checks each frame's
+valuations side by side in slots, must return exactly its results.
 reference_validate_game is the validator as first written, one pass over the
 plays with a duplicate key and a totality key per play; the count-based
 validator must report exactly its violations and warnings, in its order.
@@ -17,7 +18,7 @@ that shares one memo per trial must return an equal report.
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import count, islice, product
+from itertools import combinations, count, product
 from types import MappingProxyType
 
 from blamelogic.game import Game, Play, ValidationReport
@@ -372,8 +373,6 @@ def reference_validate_game(game):
 # ---------------------------------------------------------------------------
 # Reference countermodel search
 
-_REFERENCE_RANDOM_SHAPE = (2, 2, 2, 0.15)
-
 _REFERENCE_TINY_SHAPES = (
     (1, 1, 1),
     (1, 2, 1),
@@ -434,8 +433,12 @@ def _reference_partitions(states):
     return [(frozenset([a, b]),), (frozenset([a]), frozenset([b]))]
 
 
-def _reference_tiny_games(agents, variables):
-    """Exhaustive minimal-play games over one- and two-element components."""
+def _reference_games(agents, variables, branching):
+    """Every game of the shapes, one Game per candidate, in search order.
+
+    Without branching, each (state, profile) pair has one outcome; with it,
+    a nonempty set of outcomes, sets by size and then in order, and only
+    the games where some pair has more than one."""
     for n_states, n_actions, n_outcomes in _REFERENCE_TINY_SHAPES:
         states = tuple(f"s{i}" for i in range(n_states))
         actions = tuple(f"d{i}" for i in range(n_actions))
@@ -445,11 +448,16 @@ def _reference_tiny_games(agents, variables):
             for state in states
             for profile in _reference_profiles(agents, actions)
         ]
+        sizes = range(1, len(outcomes) + 1) if branching else (1,)
+        sets = [chosen for k in sizes for chosen in combinations(outcomes, k)]
         partition_choices = list(product(*[_reference_partitions(states) for _ in agents]))
-        for assignment in product(outcomes, repeat=len(pairs)):
+        for assignment in product(sets, repeat=len(pairs)):
+            if branching and all(len(chosen) == 1 for chosen in assignment):
+                continue
             plays = tuple(
                 Play(state, profile, outcome)
-                for (state, profile), outcome in zip(pairs, assignment)
+                for (state, profile), chosen in zip(pairs, assignment)
+                for outcome in chosen
             )
             n = len(plays)
             for parts in partition_choices:
@@ -470,30 +478,23 @@ def _reference_tiny_games(agents, variables):
                     )
 
 
-def reference_candidates(agents, variables, budget):
-    """Every candidate Game of the search, in order: the tiny games, then
-    one random game per draw, all from one seeded generator."""
-    yield from _reference_tiny_games(agents, variables)
-    num_states, num_actions, num_outcomes, branching = _REFERENCE_RANDOM_SHAPE
-    rng = random.Random(derive_seed(budget.seed, 7))
-    for _ in range(budget.max_candidates):
-        yield _reference_random_game(
-            rng,
-            agents,
-            tuple(f"s{i}" for i in range(1 + rng.randrange(num_states))),
-            tuple(f"d{i}" for i in range(1 + rng.randrange(num_actions))),
-            tuple(f"o{i}" for i in range(1 + rng.randrange(num_outcomes))),
-            variables,
-            branching,
-        )
+def reference_candidates(agents, variables, one_outcome=True):
+    """Every candidate Game of the search, in order: the games with one
+    outcome per (state, profile) pair (unless one_outcome is false), then
+    the branching games of the same shapes."""
+    if one_outcome:
+        yield from _reference_games(agents, variables, False)
+    yield from _reference_games(agents, variables, True)
 
 
-def reference_find_countermodel(formula, budget):
-    """(game, lowest falsifying play index) of the first candidate that
-    falsifies the formula, building and evaluating a Game per candidate."""
+def reference_find_countermodel(formula, budget, one_outcome=True):
+    """(game, lowest falsifying play index) of the first candidate within
+    the budget that falsifies the formula, building and evaluating a Game
+    per candidate."""
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
-    for game in islice(reference_candidates(agents, variables, budget), budget.max_candidates):
+    candidates = reference_candidates(agents, variables, one_outcome)
+    for _, game in zip(range(budget.max_candidates), candidates):
         missing = ((1 << len(game.plays)) - 1) & ~extension_mask(game, formula)
         if missing:
             return game, next(i for i in range(len(game.plays)) if missing >> i & 1)

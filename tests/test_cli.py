@@ -346,7 +346,7 @@ _SUBCOMMANDS = {
     "deduce": ("--script", "--phi"),
     "gen": ("--seed",),
     "sweep": ("--trials", "--seed"),
-    "search": ("--formula", "--budget", "--seed"),
+    "search": ("--formula", "--budget"),
 }
 
 
@@ -544,14 +544,16 @@ GOLDEN = {
         ["search", "--formula", "K{a}p -> p", "--budget", "50"], 0, "none\n",
         {"command": "search", "verdict": "none"},
     ),
+    # a budget past sys.maxsize: the search ends with the bounded space
+    "search-none-huge-budget": (
+        ["search", "--formula", "K{a}p -> p", "--budget", "1" + "0" * 24], 0, "none\n",
+        {"command": "search", "verdict": "none"},
+    ),
 }
 
 # name -> (argv, the stderr line); stdout stays empty in both modes
 GOLDEN_ERRORS = {
     "gen-negative-seed": (["gen", "--seed", "-1"], "seed must be an unsigned 64-bit integer"),
-    "search-negative-seed": (
-        ["search", "--formula", "p", "--seed", "-1"], "seed must be an unsigned 64-bit integer"
-    ),
     "search-zero-budget": (
         ["search", "--formula", "p", "--budget", "0"], "max_candidates must be at least 1"
     ),
@@ -624,6 +626,16 @@ def test_golden_report(capsys, tmp_path, name):
 def test_golden_error(capsys, tmp_path, name, mode):
     argv, message = GOLDEN_ERRORS[name]
     assert _golden_run(capsys, tmp_path, [*argv, *mode]) == (2, "", f"error: {message}\n")
+
+
+def test_golden_search_takes_no_seed(capsys, tmp_path):
+    # the search draws nothing, so there is no seed to give it: a usage error
+    with pytest.raises(SystemExit) as exc:
+        _golden_run(capsys, tmp_path, ["search", "--formula", "p", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("error: unrecognized arguments: --seed 1\n")
+    assert "Traceback" not in captured.err
 
 
 def test_golden_sweep_lists_at_most_ten_violations(capsys, tmp_path, monkeypatch):

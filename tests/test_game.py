@@ -28,7 +28,7 @@ from blamelogic.game import (
     load_game_file,
     validate_game,
 )
-from blamelogic.generator import GenParams, SearchBudget, _build, _candidates, gen_game
+from blamelogic.generator import GenParams, _build, _frames, _valuation, gen_game
 
 BASE = {
     "agents": ["c"],
@@ -657,12 +657,15 @@ def test_generated_index_matches_the_walk():
     for seed in range(60):
         sizes = [1 + seed % 3, 1 + seed % 4, 1 + seed // 4 % 3, 1 + seed // 12 % 3]
         _index_paths_agree(gen_game(GenParams(*sizes, branching=0.4, seed=seed)))
-    # the search's frames, tiny and random, with their valuations
-    budget = SearchBudget(max_candidates=300)
-    for frame, masks in islice(_candidates(1, 2, budget), 0, None, 97):
+    # the search's frames, one outcome per (state, profile) pair and
+    # branching, each under a valuation that varies from frame to frame
+    for i, frame in enumerate(islice(_frames(1), 0, None, 7)):
+        n = len(frame[2])
+        masks = _valuation(i * 97 % (1 << 2 * n), n, 2)
         _index_paths_agree(_build(("a",), frame, dict(zip(("p", "q"), masks))))
-    for frame, masks in islice(_candidates(2, 1, budget), 0, 3000, 37):
-        _index_paths_agree(_build(("a", "b"), frame, {"p": masks[0]}))
+    for i, frame in enumerate(islice(_frames(2), 0, 30000, 37)):
+        n = len(frame[2])
+        _index_paths_agree(_build(("a", "b"), frame, {"p": i * 37 % (1 << n)}))
 
 
 # ---------------------------------------------------------------------------

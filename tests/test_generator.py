@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -54,8 +54,6 @@ def test_params_bounds_enforced():
         (SearchBudget, "max_candidates", 1.5),
         (SearchBudget, "max_candidates", "5"),
         (SearchBudget, "max_candidates", True),
-        (SearchBudget, "seed", 1.0),
-        (SearchBudget, "seed", True),
         (GenParams, "num_agents", True),
         (GenParams, "num_states", 2.0),
         (GenParams, "formula_depth", "2"),
@@ -306,9 +304,10 @@ def test_sweep_reads_the_engine_mask(monkeypatch):
 
 
 # The searched formulas: the sweep workload's eight non-theorem shapes;
-# Truth-K and Truth-B, whose one agent and one variable give 610 tiny games
-# before the random draws; a two-variable Truth-K instance (8,956 tiny
-# games); and a two-agent one, whose 263,526 tiny games outlast every budget.
+# Truth-K and Truth-B, whose one agent and one variable give 610 games with
+# one outcome per (state, profile) pair and 8,438 in all; a two-variable
+# Truth-K instance (8,956 games with one outcome per pair); and a two-agent
+# one, whose 263,526 such games outlast every budget.
 _SEARCHED = [
     "B{a}p -> K{a}p",
     "p -> K{a}p",
@@ -327,10 +326,10 @@ _BUDGETS = (1, 2, 609, 610, 611, 1500, 5000)
 _UNKNOWN = object()  # no reference result yet: compute it
 
 
-def _assert_same_search(formula, budget, expected=_UNKNOWN):
+def _assert_same_search(formula, budget, expected=_UNKNOWN, one_outcome=True):
     found = find_countermodel(formula, budget)
     if expected is _UNKNOWN:
-        expected = reference_find_countermodel(formula, budget)
+        expected = reference_find_countermodel(formula, budget, one_outcome)
     assert found == expected, (print_formula(formula), budget)
     if found is None:
         return
@@ -340,21 +339,39 @@ def _assert_same_search(formula, budget, expected=_UNKNOWN):
     assert truth == [True] * idx + [False]
 
 
+def _valuation_index(game):
+    """The index of a game's valuation among its frame's, in product order."""
+    v = 0
+    for var in sorted(game.valuation):
+        v = v << len(game.plays) | sum(1 << i for i in game.valuation[var])
+    return v
+
+
+def _branching_only(monkeypatch):
+    """Switch off the search's pass over the frames with one outcome per
+    (state, profile) pair, so that every candidate branches."""
+    frames = generator._frames
+
+    def branching(n_agents):
+        for frame in frames(n_agents):
+            (n_states, n_actions, _), _, plays = frame
+            if len(plays) > n_states * n_actions**n_agents:
+                yield frame
+
+    monkeypatch.setattr(generator, "_frames", branching)
+
+
 @pytest.mark.parametrize("text", _SEARCHED)
 def test_search_returns_what_a_game_per_candidate_search_returns(text):
     formula = parse_formula(text)
-    for seed in (0, 7):
-        # a budget's candidates are a prefix of a larger budget's, so where the
-        # reference finds nothing, it finds nothing with less; and no formula
-        # has fewer than 610 tiny games, which take no seed
-        expected = _UNKNOWN
-        for max_candidates in sorted(_BUDGETS, reverse=True):
-            if seed and max_candidates <= 610:
-                break
-            budget = SearchBudget(max_candidates, seed)
-            if expected is not None:
-                expected = reference_find_countermodel(formula, budget)
-            _assert_same_search(formula, budget, expected)
+    # a budget's candidates are a prefix of a larger budget's, so where the
+    # reference finds nothing, it finds nothing with less
+    expected = _UNKNOWN
+    for max_candidates in sorted(_BUDGETS, reverse=True):
+        budget = SearchBudget(max_candidates)
+        if expected is not None:
+            expected = reference_find_countermodel(formula, budget)
+        _assert_same_search(formula, budget, expected)
 
 
 def test_search_on_random_formulas_returns_what_a_game_per_candidate_search_returns():
@@ -362,137 +379,139 @@ def test_search_on_random_formulas_returns_what_a_game_per_candidate_search_retu
     for k in range(60):
         params = GenParams(num_variables=1 + k % 2, formula_depth=3, seed=rng.getrandbits(64))
         formula = gen_formula(params, AGENT_POOL[: 1 + k // 2 % 2])
-        budget = SearchBudget(rng.choice(_BUDGETS), rng.getrandbits(64))
-        _assert_same_search(formula, budget)
+        _assert_same_search(formula, SearchBudget(rng.choice(_BUDGETS)))
 
 
-def test_random_phase_alone_returns_what_a_game_per_candidate_search_returns(monkeypatch):
-    # the fixed formulas all fall to a tiny game; with no tiny phase, every
-    # countermodel is a seeded random draw, so equal results mean equal draws
-    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
-    monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
-    # some of these fall at once, others only after 100 or more draws
+@pytest.mark.parametrize(
+    "text", ["~K{a}p", "~B{a}p", "~(p & q)", "B{a}p -> B{a}q", "~(B{a}p & q)"]
+)
+def test_a_budget_that_ends_inside_a_batch_checks_only_its_candidates(text):
+    # the first countermodel is candidate c, in a later slot of its frame's
+    # batch than the first: a budget of c stops one slot short of it
+    formula = parse_formula(text)
+    game, _ = reference_find_countermodel(formula, SearchBudget(5000))
+    agents, variables = tuple(sorted(game.agents)), tuple(sorted(game.valuation))
+    c = next(i for i, g in enumerate(reference_candidates(agents, variables)) if g == game)
+    assert _valuation_index(game) > 0
+    for max_candidates in (c, c + 1, c + 2):
+        _assert_same_search(formula, SearchBudget(max_candidates))
+    assert find_countermodel(formula, SearchBudget(c)) is None
+
+
+def test_search_checks_each_of_the_8438_one_agent_candidates_once(monkeypatch):
+    # one agent and one variable: the whole bounded space, in slots, counted
+    # by the slots of each _ext pass over the searched formula itself
+    checked = []
+    ext = semantics._ext
+
+    def counted(f, full, game, masks, memo):
+        if f is formula:
+            checked.append(bin(masks.rep).count("1"))
+        return ext(f, full, game, masks, memo)
+
+    monkeypatch.setattr(semantics, "_ext", counted)
+    for text in ("K{a}p -> p", "B{a}p -> p", "K{}p -> B{}p -> p"):
+        formula = parse_formula(text)
+        for max_candidates in (8437, 8438, 10**30):
+            checked.clear()
+            _assert_same_search(formula, SearchBudget(max_candidates), None)
+            assert sum(checked) == min(max_candidates, 8438), (text, max_candidates)
+        assert reference_find_countermodel(formula, SearchBudget(8438)) is None
+
+
+def test_a_budget_past_sys_maxsize_ends_with_the_bounded_space():
+    assert find_countermodel(parse_formula("K{a}p -> p"), SearchBudget(10**30)) is None
+    found = find_countermodel(parse_formula("p -> K{a}p"), SearchBudget(10**30))
+    assert found == find_countermodel(parse_formula("p -> K{a}p"))
+
+
+@pytest.mark.parametrize("slots", [1, 2, 4])
+def test_countermodels_past_the_first_batch_of_their_frame(slots, monkeypatch):
+    # with batches of a few slots, frames of more valuations than that take
+    # several passes, each from a later first valuation; the last two fixed
+    # formulas fall to valuations 4 and 5 of a two-play frame
+    monkeypatch.setattr(generator, "_SLOTS", slots)
+    rng = random.Random(slots)
+    late = 0
+    texts = _SEARCHED[:8] + ["B{a}p -> B{a}q", "~(B{a}p & q)"]
+    formulas = [parse_formula(text) for text in texts]
+    formulas += [rand_formula(rng, 3, (("p", "q"), ("a", "b"))) for _ in range(30)]
+    for formula in formulas:
+        _assert_same_search(formula, SearchBudget(rng.choice(_BUDGETS[2:])))
+        found = find_countermodel(formula, SearchBudget(5000))
+        late += found is not None and _valuation_index(found[0]) >= slots
+    assert late
+
+
+def test_branching_pass_alone_returns_what_a_game_per_candidate_search_returns(monkeypatch):
+    # the fixed formulas all fall to a game with one outcome per (state,
+    # profile) pair; with that pass switched off, every countermodel is a
+    # branching game
+    _branching_only(monkeypatch)
     for text in _SEARCHED[:8] + [
         "K{a}p -> p",
+        "~K{a}p",
+        "~K{}p",
         "B{a}p -> B{a}(p & q)",
         "K{a}p & K{a}q -> K{}(p | q)",
         "~(B{a}p & K{b}~q & ~K{}(p | q))",
     ]:
-        for seed in (0, 1, 7, 11, 2**64 - 1):
-            _assert_same_search(parse_formula(text), SearchBudget(300, seed))
+        formula = parse_formula(text)
+        for max_candidates in (1, 300, 3000):
+            _assert_same_search(formula, SearchBudget(max_candidates), one_outcome=False)
+        found = find_countermodel(formula, SearchBudget(3000))
+        if found is not None:
+            game, _ = found
+            assert len(game.plays) > len({(p.state, id(p.profile)) for p in game.plays})
 
 
 @pytest.mark.parametrize("tiny", [True, False])
 @pytest.mark.parametrize("agents, variables", [(("a",), ("p",)), (("a", "b"), ("p", "q"))])
 def test_candidates_build_the_reference_games_in_order(agents, variables, tiny, monkeypatch):
-    # one agent and one variable: the 610 tiny games, then 890 random draws
+    # the walk's frames under each valuation, in product order, against the
+    # reference's games; without tiny, the branching pass alone.  One agent
+    # and one variable: 610 games with one outcome per pair, then 890 of the
+    # 7,828 that branch
     if not tiny:
-        monkeypatch.setattr(generator, "_TINY_SHAPES", ())
-        monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
-    budget = SearchBudget(1500, 3)
-    drawn = generator._candidates(len(agents), len(variables), budget)
-    expected = reference_candidates(agents, variables, budget)
-    for (frame, masks), game in islice(zip(drawn, expected), budget.max_candidates):
+        _branching_only(monkeypatch)
+    walk = (
+        (frame, generator._valuation(v, len(frame[2]), len(variables)))
+        for frame in generator._frames(len(agents))
+        for v in range(1 << len(frame[2]) * len(variables))
+    )
+    expected = reference_candidates(agents, variables, tiny)
+    for _, (frame, masks), game in zip(range(1500), walk, expected):
         assert generator._build(agents, frame, dict(zip(variables, masks))) == game
-
-
-def test_below_takes_the_draws_of_randrange_choice_and_randint():
-    # the search's shapes read getrandbits through _below, and _draw writes
-    # its loop out; a CPython whose randrange, choice or randint draw
-    # otherwise would change every game
-    for seed in range(200):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for n in range(1, 10):
-            assert generator._below(ours.getrandbits, n) == theirs.randrange(n)
-            assert generator._below(ours.getrandbits, n) == theirs.choice(range(n))
-            assert 1 + generator._below(ours.getrandbits, n) == theirs.randint(1, n)
-        assert ours.getstate() == theirs.getstate(), seed
-
-
-def test_truth_search_draws_a_valuation_for_every_random_candidate(monkeypatch):
-    # Truth-K with one agent and one variable: 610 tiny games, then at a
-    # budget of 1500, 890 random candidates, each drawn whole, since the
-    # 8,438 games that a draw may give are more than four per draw.  At the
-    # default budget they are fewer than four per draw (4,390), so the search
-    # checks them all before drawing, finds no countermodel and draws none
-    drawn = []
-    draw = generator._draw
-
-    def counted(*args):
-        drawn.append(args)
-        return draw(*args)
-
-    monkeypatch.setattr(generator, "_draw", counted)
-    formula = parse_formula("K{a}p -> p")
-    for budget, draws in ((SearchBudget(1500), 890), (SearchBudget(), 0)):
-        drawn.clear()
-        assert find_countermodel(formula, budget) is None
-        assert len(drawn) == draws, budget
-        assert reference_find_countermodel(formula, budget) is None
-
-
-def test_random_frames_come_from_one_generator_whatever_the_formula(monkeypatch):
-    # two sound formulas over one agent and one variable meet the same
-    # frames, in the order in which one generator, seeded once, draws them
-    # along with their shapes and valuations
-    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
-    met = []
-    draw = generator._draw
-
-    def recorded(*args):
-        met[-1].append(draw(*args))
-        return met[-1][-1]
-
-    monkeypatch.setattr(generator, "_draw", recorded)
-    for seed in (0, 5):
-        budget = SearchBudget(300, seed)
-        for text in ("K{a}p -> p", "B{a}p -> p"):
-            met.append([])
-            assert find_countermodel(parse_formula(text), budget) is None
-        assert met[-2] == met[-1], seed
-        rng = random.Random(derive_seed(seed, 7))
-        expected = []
-        for _ in range(budget.max_candidates):
-            shape = [rng.randint(1, 2) for _ in range(3)]
-            names = [tuple(f"{c}{i}" for i in range(n)) for c, n in zip("sdo", shape)]
-            expected.append(_helpers._reference_random_game(rng, ("a",), *names, ("p",), 0.15))
-        built = [generator._build(("a",), frame, {"p": mask}) for frame, (mask,) in met[-1]]
-        assert built == expected, seed
-
-
-def test_random_phase_with_repeated_frames_returns_what_a_game_per_candidate_search_returns(
-    monkeypatch,
-):
-    # a one-play frame has two valuations and comes about once in eight
-    # draws, so these countermodels often come after its other valuation
-    # was checked: only a candidate already checked may be skipped
-    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
-    monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
-    for text in ("~K{a}p", "~K{}p"):
-        for seed in range(40):
-            _assert_same_search(parse_formula(text), SearchBudget(300, seed))
 
 
 def test_valuations_come_in_product_order_one_at_a_time():
     for n, n_vars in ((1, 1), (3, 1), (2, 2), (1, 3)):
         expected = list(product(range(1 << n), repeat=n_vars))
-        assert list(generator._valuations(n, n_vars)) == expected
-    # product would first copy 2**40 masks into a tuple
-    assert next(generator._valuations(40, 2)) == (0, 0)
+        assert [tuple(generator._valuation(v, n, n_vars)) for v in range(len(expected))] == expected
+        for count in (1, 3, len(expected)):
+            rep, patterns = generator._layout(n, n_vars, count)
+            for j, masks in enumerate(expected[:count]):
+                assert rep >> j * (n + 1) & ((1 << n + 1) - 1) == 1
+                assert [m >> j * (n + 1) & ((1 << n + 1) - 1) for m in patterns] == list(masks)
+            assert rep < 1 << count * (n + 1)
+    # each valuation comes from its index alone, with none of the 2**80 before it
+    assert generator._valuation((1 << 80) - 2, 40, 2) == [(1 << 40) - 1, (1 << 40) - 2]
 
 
 @pytest.mark.parametrize("agents, variables", [(1, 1), (1, 2), (2, 1)])
 def test_space_counts_the_candidates_of_the_bounded_frames(agents, variables):
-    frames = generator._frames(agents, generator._BOUNDED_SHAPES, True)
+    # the walk gives each frame of the bounded space once: per shape, the
+    # partitions times, per (state, profile) pair, its valuations summed
+    # over its nonempty outcome sets
+    frames = list(generator._frames(agents))
+    assert len(set(frames)) == len(frames)
     count = sum(1 << len(plays) * variables for _, _, plays in frames)
-    assert generator._space(agents, variables, count) == count
-    assert generator._space(agents, variables, count - 1) == count
-
-
-def test_space_stops_at_its_limit():
-    assert generator._space(1, 1, 10**9) == 8438
-    # 200 agents give 2**200 profiles per state: the count stops past 5000
-    assert generator._space(200, 3, 5000) == 5001
+    expected = sum(
+        (1 + (s > 1)) ** agents * ((1 + 2**variables) ** o - 1) ** (s * a**agents)
+        for s, a, o in product((1, 2), repeat=3)
+    )
+    assert count == expected
+    assert (agents, variables) != (1, 1) or count == 8438
 
 
 def _child(code):
@@ -546,14 +565,14 @@ def _brute_prevent(rest, pending, members, actions, masks):
 
 @pytest.mark.parametrize(
     "agents, shapes",
-    [(("a",), generator._BOUNDED_SHAPES), (("a", "b"), ((2, 2, 1), (1, 2, 2)))],
+    [(("a",), generator._TINY_SHAPES), (("a", "b"), ((2, 2, 1), (1, 2, 2)))],
     ids=["one-agent-space", "two-agents"],
 )
 def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch):
     # every frame of the shapes, under every valuation of one variable: the
     # slot pass of each frame (the engine's walk) against one _ext call per
     # candidate, whose B tries every choice in turn; for one agent that is
-    # all 8,438 games that a random draw may give.  The fixed formulas take
+    # all 8,438 games of the bounded space.  The fixed formulas take
     # K and B over the empty, a single and the full coalition
     rng = random.Random(25)
     texts = ["K{a}p -> p", "B{a}p -> p", "B{a}p -> K{a}p", "p -> B{a}p", "~B{}p", "K{}p"]
@@ -564,10 +583,12 @@ def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch
     p = Var("p")
     layouts = {}
     cases = []
-    for frame in generator._frames(len(agents), shapes, True):
+    for frame in generator._frames(len(agents)):
         n = len(frame[2])
+        if frame[0] not in shapes:
+            continue
         if n not in layouts:
-            layouts[n] = generator._layout(n, 1)
+            layouts[n] = generator._layout(n, 1, 1 << n)
         rep, (pattern,) = layouts[n]
         game = generator._build(agents, frame, {})
         slots = game._masks.spread(rep, {"p": pattern})
@@ -583,24 +604,3 @@ def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch
             assert mask >> j * (n + 1) & masks.full == one, (game, j, print_formula(f))
 
 
-def test_random_phase_after_the_bounded_check_returns_what_a_game_per_candidate_search_returns(
-    monkeypatch,
-):
-    # with no tiny phase, a budget of 3000 leaves 3000 draws, against which
-    # the 8,438 one-agent, one-variable games are few: the search checks
-    # them all first and draws only when one falsifies the formula, so the
-    # countermodels below still come from the random draws
-    monkeypatch.setattr(generator, "_TINY_SHAPES", ())
-    monkeypatch.setattr(_helpers, "_REFERENCE_TINY_SHAPES", ())
-    checked = []
-    check = generator._falsifiable
-
-    def spied(*args):
-        checked.append(check(*args))
-        return checked[-1]
-
-    monkeypatch.setattr(generator, "_falsifiable", spied)
-    texts = ["B{a}p -> K{a}p", "p -> K{a}p", "p -> B{a}p", "~K{a}p", "~K{}p", "K{a}p -> p"]
-    for text in texts:
-        _assert_same_search(parse_formula(text), SearchBudget(3000, 5))
-    assert checked == [True] * 5 + [False]
