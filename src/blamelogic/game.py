@@ -14,13 +14,13 @@ profile entries one shared, read-only profile, builds the Play and ORs its
 bit into its state's mask and its profile's group.  Plays built in code
 keep the profiles they were given.
 
-Each game's index (`_Masks`), built by `Game.__post_init__` and read by the
-validator, the semantics module and the countermodel search, holds the
-play sets as bitmasks and groups the plays by profile object, so
-per-profile work is done once per distinct profile; it takes the masks the
-loader or generator gathered (`_indexed_game`), else walks the plays.  A
-state's key under a coalition is its tuple of first-block indices under
-the members (`_state_keys`); C-indistinguishable states have equal keys.
+Each game's index (`_Masks`), built by `Game.__post_init__`, holds all
+that the validator and the semantics engine read: the play sets as
+bitmasks, with plays grouped by profile object so per-profile work is done
+once per distinct profile.  It takes the masks the loader gathered
+(`_indexed_game`), else walks the plays; the countermodel search builds a
+frame's index from its small ints (`_frame_index`), with no Game.  A state's
+key under a coalition is its tuple of first-block indices under the members.
 
 The validator counts in C: used states and outcomes must be declared, each
 profile complete over declared actions, the (state, profile, outcome) keys
@@ -111,7 +111,7 @@ class Game:
         }
         object.__setattr__(self, "indist", MappingProxyType(canonical))
         object.__setattr__(self, "valuation", MappingProxyType(dict(self.valuation)))
-        object.__setattr__(self, "_masks", _Masks(self, walked))
+        object.__setattr__(self, "_masks", _game_index(self, walked))
 
     def __hash__(self):  # as for Play: the two mappings hash by their items
         mappings = frozenset(self.indist.items()), frozenset(self.valuation.items())
@@ -128,58 +128,76 @@ def _indexed_game(fields: tuple, walked: tuple) -> Game:
 
 
 class _Masks:
-    """A game's play sets as int bitmasks (bit i is play i).
+    """A game's index, all that the engine reads of it: n plays, the declared
+    states and actions, blocks (state -> first-block maps of the agents in
+    both agents and indist), and each state's and (agent, action)'s plays as
+    an int bitmask (bit i is play i).  A Game's index adds the profile
+    groups, each play object's first position and the variable masks.
+    Classes fill in on first use (_classes).  A Game's index is _ext's
+    one-slot layout; a search frame's may have many slots (_frame_index)."""
 
-    The state masks and the groups of plays per profile object (id(profile)
-    -> `[profile, mask]`), both in first-play order, come from walked or one
-    pass over the plays; then each play object's first position, the (agent,
-    action) masks and the variable masks.  Coalition classes fill in on first
-    use (_classes).  The index holds no reference to the game.  It is the
-    one-slot layout of semantics._ext: n plays, rep = 1.
-    """
+    __slots__ = ("full", "state", "groups", "index", "act", "var", "classes", "n", "rep",
+                 "states", "actions", "blocks")
 
-    __slots__ = ("full", "state", "groups", "index", "act", "var", "classes", "n", "rep")
+    def __init__(self, n, states, actions, blocks, state, act, rep=1):
+        self.n, self.full, self.rep, self.var, self.classes = n, ((1 << n) - 1) * rep, rep, {}, {}
+        self.states, self.actions, self.blocks = states, actions, blocks
+        self.state, self.act = state, act
 
-    def __init__(self, game: Game, walked=None):
-        self.n = n = len(game.plays)
-        self.full, self.rep = (1 << n) - 1, 1
-        self.state, self.groups = state, groups = walked or ({}, {})
-        if walked is None:
-            bit = 1
-            for s, profile, _ in game.plays:
-                state[s] = state.get(s, 0) | bit
-                group = groups.get(id(profile))
-                if group is None:
-                    groups[id(profile)] = [profile, bit]
-                else:
-                    group[1] |= bit
-                bit <<= 1
-        # id(play) -> position, zipped from the back so an object's first one wins
-        self.index = dict(zip(map(id, reversed(game.plays)), range(n - 1, -1, -1)))
-        self.act = act = {}  # (agent, action) -> plays where agent took action
-        try:
-            for profile, mask in groups.values():
-                for key in profile.items():
-                    act[key] = act.get(key, 0) | mask
-        except AttributeError:  # the group's first play is its lowest bit
-            i = (mask & -mask).bit_length() - 1
-            raise TypeError(f"play {i}: profile is not a mapping: {profile!r}") from None
-        self.var = var = {}
-        for name, indices in game.valuation.items():
-            digits = bytearray(b"0" * (n + 1))  # base 2 after a leading 0: play i is digits[~i]
-            for i in indices:
-                if isinstance(i, int) and 0 <= i < n:  # the validator names any other
-                    digits[~i] = 49  # "1"
-            var[name] = int(digits, 2)
-        self.classes = {}
 
-    def spread(self, rep: int, var: dict) -> "_Masks":
-        """This index in every slot of rep, var its variable masks (see semantics._ext)."""
-        slots = object.__new__(_Masks)
-        slots.n, slots.rep, slots.full, slots.var, slots.classes = self.n, rep, self.full * rep, var, {}
-        slots.state = {s: mask * rep for s, mask in self.state.items()}
-        slots.act = {key: mask * rep for key, mask in self.act.items()}
-        return slots
+def _game_index(game: Game, walked=None) -> _Masks:
+    """The game's index; its state masks and profile groups (id(profile) ->
+    `[profile, mask]`), both in first-play order, from walked or one pass."""
+    state, groups = walked or ({}, {})
+    if walked is None:
+        bit = 1
+        for s, profile, _ in game.plays:
+            state[s] = state.get(s, 0) | bit
+            groups.setdefault(id(profile), [profile, 0])[1] |= bit
+            bit <<= 1
+    act = {}  # (agent, action) -> plays where agent took action
+    try:
+        for profile, mask in groups.values():
+            for key in profile.items():
+                act[key] = act.get(key, 0) | mask
+    except AttributeError:  # the group's first play is its lowest bit
+        i = (mask & -mask).bit_length() - 1
+        raise TypeError(f"play {i}: profile is not a mapping: {profile!r}") from None
+    blocks = {  # built from the last block back, so a state's first block wins
+        agent: {s: i for i, block in reversed(tuple(enumerate(part))) for s in block}
+        for agent, part in game.indist.items() if agent in game.agents
+    }
+    n = len(game.plays)
+    masks = _Masks(n, game.states, game.actions, blocks, state, act)
+    masks.groups = groups
+    # id(play) -> position, zipped from the back so an object's first one wins
+    masks.index = dict(zip(map(id, reversed(game.plays)), range(n - 1, -1, -1)))
+    for name, indices in game.valuation.items():
+        digits = bytearray(b"0" * (n + 1))  # base 2 after a leading 0: play i is digits[~i]
+        for i in indices:
+            if isinstance(i, int) and 0 <= i < n:  # the validator names any other
+                digits[~i] = 49  # "1"
+        masks.var[name] = int(digits, 2)
+    return masks
+
+
+def _frame_index(agents, frame, rep=1) -> _Masks:
+    """The index of generator._build(agents, frame, {}), each name read as
+    its int, less the groups and play positions, built straight from the
+    frame's small ints (see generator._draw): no Game, no mask per profile.
+    Its play masks lie in every slot of rep (see semantics._ext)."""
+    (n_states, n_actions, _), parts, ids = frame
+    actions = tuple(range(n_actions))
+    # each profile id's (agent, action) entries, in generator._build's order
+    entries = list(product(*([(agent, d) for d in actions] for agent in agents)))
+    state, act, bit = {}, {}, rep
+    for s, p, _ in ids:
+        state[s] = state.get(s, 0) | bit
+        for key in entries[p]:
+            act[key] = act.get(key, 0) | bit
+        bit <<= 1
+    blocks = {agent: dict(enumerate(labels)) for agent, labels in zip(agents, parts)}
+    return _Masks(len(ids), tuple(range(n_states)), actions, blocks, state, act, rep)
 
 
 def _indices(mask: int) -> list:
@@ -191,29 +209,24 @@ def identity_partition(states) -> tuple:
     return tuple(frozenset([s]) for s in states)
 
 
-def _state_keys(game: Game, coalition) -> dict:
-    """State -> its tuple of first-block indices under the sorted members
-    (None where a member's partition misses the state).  Checks every member
-    first: raises UnknownAgentError unless each is in both game.agents and
-    game.indist."""
-    members = sorted(coalition)
-    for agent in members:
-        if agent not in game.agents or agent not in game.indist:
-            raise UnknownAgentError(f"unknown agent: {agent}")
-    indexes = [  # built from the last block back, so a state's first block wins
-        {s: i for i, block in reversed(tuple(enumerate(game.indist[a]))) for s in block}
-        for a in members
-    ]
-    return {s: tuple(index.get(s) for index in indexes) for s in game.states}
+def _member_blocks(masks: _Masks, coalition) -> list:
+    """The sorted members' state -> first-block maps; UnknownAgentError names
+    the first member that is not in both the game's agents and indist."""
+    try:
+        return [masks.blocks[agent] for agent in sorted(coalition)]
+    except KeyError as e:
+        raise UnknownAgentError(f"unknown agent: {e.args[0]}") from None
 
 
-def _classes(game: Game, masks: _Masks, coalition) -> tuple:
+def _classes(masks: _Masks, coalition) -> tuple:
     """Play masks of the coalition's indistinguishability classes, the
-    states grouped by their keys; cached per coalition in the index."""
+    declared states grouped by their keys; cached per coalition in the index."""
     classes = masks.classes.get(coalition)
     if classes is None:
+        maps = _member_blocks(masks, coalition)
         groups = {}
-        for s, key in _state_keys(game, coalition).items():
+        for s in masks.states:
+            key = tuple([m.get(s) for m in maps])
             groups[key] = groups.get(key, 0) | masks.state.get(s, 0)
         classes = masks.classes[coalition] = tuple(b for b in groups.values() if b)
     return classes
@@ -240,8 +253,7 @@ def indistinguishable(game: Game, coalition, s1: str, s2: str) -> bool:
     for s in (s1, s2):
         if s not in game.states:
             raise UnknownStateError(f"unknown state: {s}")
-    keys = _state_keys(game, coalition)
-    return keys[s1] == keys[s2]
+    return all(m.get(s1) == m.get(s2) for m in _member_blocks(game._masks, coalition))
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,17 @@ from one phi, psi and game, so they share one memo of subformula masks,
 made for the trial and dropped with it.
 
 A random game is drawn as small ints, frame then valuation, in one call
-(_draw), and then built (_build).  Integer draws read getrandbits with
-CPython's own _randbelow loop, written out in _draw's loops, so they take
-the values randrange, choice and randint would.
+(_draw), and then built (_build).
 
 Countermodel search draws nothing: it walks one bounded space of games, of
 at most two states, actions and outcomes, in a fixed order until the
 candidate budget or the space runs out, so None means that no candidate
 within the budget falsifies the formula.  A frame is a game without its
 valuation (_frames gives them in walk order, smallest shape first), and a
-candidate is a frame under one valuation.  Each frame gets one
-valuation-free Game, and its valuations are evaluated side by side, in
-batches of slots (_layout), one _ext pass per batch.  Only the
-countermodel returned is built as a Game of its own.
+candidate is a frame under one valuation.  A frame's valuations are
+evaluated side by side, in batches of slots (_layout), one _ext pass per
+batch, over an index built from the frame's small ints in those slots
+(game._frame_index).  Only the countermodel returned is built as a Game.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from itertools import combinations, product
 from types import MappingProxyType
 
 from . import semantics
-from .game import Game, Play, _indexed_game, _indices
+from .game import Game, Play, _frame_index, _indices
 from .hilbert import AXIOM_NAMES, DISJOINT, SCHEMAS, SUBSET, build_axiom
 from .syntax import (
     Blames,
@@ -79,12 +77,8 @@ class GenParams:
                 raise ValueError(f"{name} must be an integer in {lo}..{hi}")
         if not (type(self.branching) in (int, float) and 0.0 <= self.branching <= 1.0):
             raise ValueError("branching must be a probability in [0, 1]")
-        _check_seed(self.seed)
-
-
-def _check_seed(seed):
-    if not (type(seed) is int and 0 <= seed <= _SEED_MASK):
-        raise ValueError("seed must be an unsigned 64-bit integer")
+        if not (type(self.seed) is int and 0 <= self.seed <= _SEED_MASK):
+            raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 def derive_seed(seed: int, *salts: int) -> int:
@@ -95,54 +89,30 @@ def derive_seed(seed: int, *salts: int) -> int:
     return value
 
 
-def _profiles(agents, actions):
-    """Every complete profile, in product order, one dict each.
-
-    Plays share these dicts, as loaded plays share their profiles, so the
-    game's index (game._Masks) builds its action masks once per profile.
-    """
-    return [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
-
-
 def _draw(rng, n_agents, shape, branching, n_vars):
     """One random game as small ints: (frame, one valuation mask per variable).
 
     shape is (states, actions, outcomes).  The frame is (shape, each agent's
     block labels, each play's (state, profile, outcome) ids).  An agent's
     partition's labels number its blocks by first appearance, so that equal
-    partitions get equal labels; profile ids count in _profiles order; bit i
-    of a mask is play i.  The draws are partitions, then plays, then masks,
-    each integer draw CPython's _randbelow loop written out.
+    partitions get equal labels; profile ids count in _build's order; bit i
+    of a mask is play i.  The draws are partitions, then plays, then masks.
     """
-    bits, random = rng.getrandbits, rng.random
+    randint, randrange, random = rng.randint, rng.randrange, rng.random
     n_states, n_actions, n_outcomes = shape
-    if n_states == 1:
+    if n_states == 1:  # no draw: randint(1, 1) would still read a bit
         parts = ((0,),) * n_agents
     else:
         parts = []
-        k = n_states.bit_length()
         for _ in range(n_agents):
-            count = bits(k)
-            while count >= n_states:
-                count = bits(k)
-            count += 1
-            j = count.bit_length()
-            first = {}
-            labels = []
-            for _ in range(n_states):
-                r = bits(j)
-                while r >= count:
-                    r = bits(j)
-                labels.append(first.setdefault(r, len(first)))
+            count, first = randint(1, n_states), {}
+            labels = [first.setdefault(randrange(count), len(first)) for _ in range(n_states)]
             parts.append(tuple(labels))
         parts = tuple(parts)
     plays = []
-    k = n_outcomes.bit_length()
     for state in range(n_states):
         for profile in range(n_actions**n_agents):
-            outcome = bits(k)
-            while outcome >= n_outcomes:
-                outcome = bits(k)
+            outcome = randrange(n_outcomes)
             plays.append((state, profile, outcome))
             for extra in range(n_outcomes):
                 if extra != outcome and random() < branching:
@@ -158,34 +128,21 @@ def _draw(rng, n_agents, shape, branching, n_vars):
 
 
 def _build(agents, frame, valuation):
-    """The Game of a frame; valuation maps each variable to its play mask.
-    The state masks and profile groups gathered while the plays are built
-    go to the index (game._indexed_game), which then does not walk them."""
+    """The Game of a frame; valuation maps each variable to its play mask."""
     (n_states, n_actions, n_outcomes), parts, ids = frame
     states = tuple(f"s{i}" for i in range(n_states))
     actions = tuple(f"d{i}" for i in range(n_actions))
     outcomes = tuple(f"o{i}" for i in range(n_outcomes))
-    indist = {}
-    for agent, labels in zip(agents, parts):
-        blocks = {}
-        for state, label in zip(states, labels):
-            blocks.setdefault(label, set()).add(state)
-        indist[agent] = tuple(map(frozenset, blocks.values()))
-    profiles = _profiles(agents, actions)
-    plays = []
-    state_masks, group_masks = [0] * n_states, [0] * len(profiles)
-    new, bit = tuple.__new__, 1
-    for s, p, o in ids:
-        plays.append(new(Play, (states[s], profiles[p], outcomes[o])))
-        state_masks[s] |= bit
-        group_masks[p] |= bit
-        bit <<= 1
-    # a frame's plays run state by state, each over every profile in order,
-    # so both lists are in first-play order, with no mask left empty
-    groups = {id(pr): [pr, mask] for pr, mask in zip(profiles, group_masks)}
+    indist = {  # an agent's labels number its blocks
+        agent: tuple(frozenset(s for s, b in zip(states, labels) if b == k) for k in set(labels))
+        for agent, labels in zip(agents, parts)
+    }
+    # one dict per profile, in product order, shared by its plays as loaded
+    # plays share theirs, so the index builds its action masks once per profile
+    profiles = [dict(zip(agents, combo)) for combo in product(actions, repeat=len(agents))]
+    plays = tuple([tuple.__new__(Play, (states[s], profiles[p], outcomes[o])) for s, p, o in ids])
     valuation = {var: frozenset(_indices(mask)) for var, mask in valuation.items()}
-    fields = tuple(agents), states, indist, actions, outcomes, tuple(plays), valuation
-    return _indexed_game(fields, (dict(zip(states, state_masks)), groups))
+    return Game(tuple(agents), states, indist, actions, outcomes, plays, valuation)
 
 
 def gen_game(params: GenParams) -> Game:
@@ -289,14 +246,13 @@ def _sweep_instances(rng, agents, phi, psi):
     ]
 
 
-def _falsified(game: Game, formula: Formula, memo: dict) -> list:
+def _falsified(masks, formula: Formula, memo: dict) -> list:
     """Indices of the plays at which the formula fails, ascending.
 
-    memo is the trial's node -> mask map over this game's plays, shared by
-    all of the trial's checks.
+    masks is the trial's game's index, and memo the trial's node -> mask
+    map over its plays, shared by all of the trial's checks.
     """
-    masks = game._masks
-    missing = masks.full & ~semantics._ext(formula, masks.full, game, masks, memo)
+    missing = masks.full & ~semantics._ext(formula, masks.full, masks, memo)
     return _indices(missing) if missing else []  # valid is the usual case
 
 
@@ -325,17 +281,17 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
             replace(params, seed=derive_seed(params.seed, trial, 2)), game.agents
         )
         rng = random.Random(derive_seed(params.seed, trial, 3))
-        n = len(game.plays)
+        n, masks = len(game.plays), game._masks
         memo = {}  # masks over this game's plays: dies with the trial
         for name, instance in _sweep_instances(rng, game.agents, phi, psi):
             counts[name] += n
-            for idx in _falsified(game, instance, memo):
+            for idx in _falsified(masks, instance, memo):
                 violations.append(SweepViolation(name, trial, game, idx, instance))
-        if not _falsified(game, phi, memo):
+        if not _falsified(masks, phi, memo):
             for coalition in _all_coalitions(game.agents):
                 lifted = Knows(coalition, phi)
                 counts["Necessitation"] += n
-                for idx in _falsified(game, lifted, memo):
+                for idx in _falsified(masks, lifted, memo):
                     violations.append(
                         SweepViolation("Necessitation", trial, game, idx, lifted)
                     )
@@ -364,10 +320,10 @@ class SearchBudget:
 _TINY_SHAPES = (
     (1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1), (1, 2, 2), (2, 2, 1), (2, 1, 2), (2, 2, 2)
 )
-# most valuations of a frame checked in one _ext pass: a power of two, as
-# each frame's count of valuations is, so a frame of more splits into whole
-# batches, each starting at a multiple of it
-_SLOTS = 1 << 12
+# bound on the bits of one _ext pass: a frame of n plays takes batches of
+# max(1, _BITS >> n.bit_length()) slots of n + 1 bits, a power of two, so
+# a frame of more valuations splits into whole batches, each at a multiple
+_BITS = 1 << 16
 
 
 def _frames(n_agents):
@@ -430,22 +386,23 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
     agents = tuple(sorted(formula_agents(formula))) or ("a",)
     variables = tuple(sorted(formula_vars(formula))) or ("p0",)
     n_vars, left = len(variables), budget.max_candidates
-    layouts = {}  # (plays per frame, slots) -> (rep, variable -> mask) of its _layout
+    layouts = {}  # (plays per frame, slots) -> (rep, Var node -> mask) of its _layout
     for frame in _frames(len(agents)):
-        n = len(frame[2])
-        game = _build(agents, frame, {})
-        total = 1 << n * n_vars
-        for start in range(0, total, _SLOTS):
-            count = min(total, _SLOTS, left)
+        n, index = len(frame[2]), None
+        total, size = 1 << n * n_vars, max(1, _BITS >> n.bit_length())
+        for start in range(0, total, size):
+            count = min(total, size, left)
             if (n, count) not in layouts:
                 rep, patterns = _layout(n, n_vars, count)
-                layouts[n, count] = rep, dict(zip(variables, patterns))
+                layouts[n, count] = rep, dict(zip(map(Var, variables), patterns))
             rep, var = layouts[n, count]
-            if start:  # a multiple of _SLOTS: valuation start + j is start's masks OR'd with j's
+            if index is None or index.rep != rep:  # a first batch, or one the budget cut short
+                index = _frame_index(agents, frame, rep)
+            if start:  # a multiple of size: valuation start + j is start's masks OR'd with j's
                 high = _valuation(start, n, n_vars)
                 var = {x: pattern | mask * rep for (x, pattern), mask in zip(var.items(), high)}
-            slots = game._masks.spread(rep, var)
-            missing = slots.full & ~semantics._ext(formula, slots.full, game, slots, {})
+            # the memo starts with the variables' masks, as in a tautology check
+            missing = index.full & ~semantics._ext(formula, index.full, index, dict(var))
             if missing:
                 j, play = divmod((missing & -missing).bit_length() - 1, n + 1)
                 valuation = _valuation(start + j, n, n_vars)

@@ -264,8 +264,8 @@ def is_tautology_instance(f: Formula, *, _memo=None) -> bool:
             masks[j] |= masks[j] << width
         masks[i] = ((1 << width) - 1) << width
         width <<= 1
-    # the memo holds every atom, so _ext reads no game
-    return _ext(f, full, None, None, dict(zip(atoms, masks))) == full
+    # the memo holds every atom, so _ext reads no index
+    return _ext(f, full, None, dict(zip(atoms, masks))) == full
 
 
 # ---------------------------------------------------------------------------

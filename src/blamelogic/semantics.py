@@ -11,8 +11,8 @@ A formula is evaluated at a play (state, complete action profile, outcome):
     agrees with that choice on C's members.
 
 A state's C-class is keyed by its block keys under C's members (distributed
-knowledge).  The game module builds each game's masks (`_Masks`) with the
-Game and the C-classes from them (`_classes`), raising UnknownAgentError
+knowledge).  The engine reads a game's index (`game._Masks`), never the
+Game, and the C-classes from it (`_classes`), which raise UnknownAgentError
 for an agent the game does not know; this module holds only the modal logic.
 
 Both modalities depend on the play only through its C-class, so the engine
@@ -45,7 +45,7 @@ from .game import Game, Play, Strategy, _classes, _coalition, _indices, _Masks
 from .syntax import Blames, Formula, Implies, Knows, Neg, Var
 
 
-def _prevent(rest: int, pending: int, members, actions, masks: _Masks) -> int:
+def _prevent(rest: int, pending: int, members, masks: _Masks) -> int:
     """The slots of pending (one bit each, as in masks.rep) where some choice,
     one action per member, has no play in `rest`.
 
@@ -56,7 +56,7 @@ def _prevent(rest: int, pending: int, members, actions, masks: _Masks) -> int:
     if members:
         act, rep = masks.act, masks.rep
         agent, others = members[0], members[1:]
-        for action in actions:
+        for action in masks.actions:
             left = rest & act.get((agent, action), 0)
             # the pending slots where left has a play: with one slot, any play
             busy = left and (pending if rep == 1 else (left + masks.full) >> masks.n & pending)
@@ -66,7 +66,7 @@ def _prevent(rest: int, pending: int, members, actions, masks: _Masks) -> int:
                     break
                 pending = busy
             if others:
-                found = _prevent(left, pending, others, actions, masks)
+                found = _prevent(left, pending, others, masks)
                 if found:
                     done |= found
                     pending ^= found
@@ -75,17 +75,17 @@ def _prevent(rest: int, pending: int, members, actions, masks: _Masks) -> int:
     return done
 
 
-def _choice(rest: int, members, actions, masks: _Masks):
+def _choice(rest: int, members, masks: _Masks):
     """First choice (one action per member) whose plays miss `rest`, a mask
     over one slot, else None: each member in turn takes the first action
     after which the later members can still miss what is left (_prevent).
     """
-    choice = []
+    choice, actions = [], masks.actions
     for i, agent in enumerate(members):
         others = members[i + 1 :]
         for action in actions:
             left = rest & masks.act.get((agent, action), 0)
-            if not left or _prevent(left, 1, others, actions, masks):
+            if not left or _prevent(left, 1, others, masks):
                 break
         else:
             return None
@@ -99,17 +99,17 @@ def _choice(rest: int, members, actions, masks: _Masks):
 def extension_mask(game: Game, formula: Formula) -> int:
     """The formula's extension as an int whose bit i is set iff it holds at play i."""
     masks = game._masks
-    return _ext(formula, masks.full, game, masks, {})
+    return _ext(formula, masks.full, masks, {})
 
 
-def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
+def _ext(f: Formula, full: int, masks: _Masks, memo: dict) -> int:
     """Mask of f over the index space whose set bits are full.
 
     memo maps each node already computed over this index space to its
-    mask, so an equal subtree is computed once.  extension_mask passes the
-    game's play masks; a tautology check passes truth-table rows as the
-    index space and every atom's mask in memo, with no game, so only the
-    connectives are read.
+    mask, so an equal subtree is computed once.  extension_mask passes a
+    game's index; a tautology check passes truth-table rows as the index
+    space and every atom's mask in memo, with no index (None), so only
+    the connectives are read.
 
     The play masks may lie in slots side by side, each n = masks.n play
     bits and a guard bit that full leaves clear, and masks.rep has the
@@ -125,14 +125,14 @@ def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
         case Var(name):
             mask = masks.var.get(name, 0)
         case Neg(inner):
-            mask = full ^ _ext(inner, full, game, masks, memo)
+            mask = full ^ _ext(inner, full, masks, memo)
         case Implies(lhs, rhs):
-            mask = full ^ _ext(lhs, full, game, masks, memo)
-            mask |= _ext(rhs, full, game, masks, memo)
+            mask = full ^ _ext(lhs, full, masks, memo)
+            mask |= _ext(rhs, full, masks, memo)
         case Knows(c, inner):
-            false = full ^ _ext(inner, full, game, masks, memo)
+            false = full ^ _ext(inner, full, masks, memo)
             mask = 0
-            for block in _classes(game, masks, c):
+            for block in _classes(masks, c):
                 if not block & false:
                     mask |= block
                 elif masks.rep != 1:  # the class holds in the slots where it has no false play
@@ -140,15 +140,15 @@ def _ext(f: Formula, full: int, game: Game, masks: _Masks, memo: dict) -> int:
                     held = rep ^ ((block & false) + full) >> n & rep
                     mask |= block & (held << n) - held  # each slot's bit over its plays
         case Blames(c, inner):
-            true = _ext(inner, full, game, masks, memo)
+            true = _ext(inner, full, masks, memo)
             members = sorted(c)
             n, rep = masks.n, masks.rep
             mask = 0
-            for block in _classes(game, masks, c):
+            for block in _classes(masks, c):
                 rest = block & true
                 if rest:
                     pending = 1 if rep == 1 else (rest + full) >> n & rep  # the slots where rest has a play
-                    done = _prevent(rest, pending, members, game.actions, masks)
+                    done = _prevent(rest, pending, members, masks)
                     if done:
                         mask |= rest if done == pending else rest & (done << n) - done
         case _:
@@ -192,14 +192,14 @@ def blame_witness(game: Game, play: Play, coalition, formula: Formula):
     coalition = _coalition(coalition)
     true = extension_mask(game, formula)
     masks = game._masks
-    classes = _classes(game, masks, coalition)  # raises on an unknown member
+    classes = _classes(masks, coalition)  # raises on an unknown member
     bit = 1 << _locate(game, play)
     if not true & bit:
         return None
     members = sorted(coalition)
     for block in classes:
         if block & bit:
-            choice = _choice(block & true, members, game.actions, masks)
+            choice = _choice(block & true, members, masks)
             return None if choice is None else Strategy(coalition, dict(zip(members, choice)))
     return None
 
@@ -219,5 +219,5 @@ def semantic_entailment(game: Game, hypotheses, formula: Formula) -> bool:
     memo = {}  # the hypotheses and the conclusion share subformulas
     hyps = full
     for h in hypotheses:
-        hyps &= _ext(h, full, game, masks, memo)
-    return not hyps & ~_ext(formula, full, game, masks, memo)
+        hyps &= _ext(h, full, masks, memo)
+    return not hyps & ~_ext(formula, full, masks, memo)

@@ -260,10 +260,10 @@ def identity_empty_classes(real):
     """Mutant of semantics._classes: the empty coalition gets one class per
     state, so it relates only equal states."""
 
-    def mutant(game, masks, coalition):
+    def mutant(masks, coalition):
         if not coalition:
             return tuple(m for m in masks.state.values() if m)
-        return real(game, masks, coalition)
+        return real(masks, coalition)
 
     return mutant
 

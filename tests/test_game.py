@@ -1,7 +1,8 @@
 import json
+import random
 import sys
 import time
-from itertools import islice, product
+from itertools import combinations, islice, product
 from types import MappingProxyType
 from unittest import mock
 
@@ -21,6 +22,8 @@ from blamelogic.game import (
     game_from_document,
     Play,
     Strategy,
+    _classes,
+    _frame_index,
     dump_game,
     game_to_document,
     indistinguishable,
@@ -28,7 +31,7 @@ from blamelogic.game import (
     load_game_file,
     validate_game,
 )
-from blamelogic.generator import GenParams, _build, _frames, _valuation, gen_game
+from blamelogic.generator import GenParams, _build, _frames, gen_game
 
 BASE = {
     "agents": ["c"],
@@ -657,15 +660,33 @@ def test_generated_index_matches_the_walk():
     for seed in range(60):
         sizes = [1 + seed % 3, 1 + seed % 4, 1 + seed // 4 % 3, 1 + seed // 12 % 3]
         _index_paths_agree(gen_game(GenParams(*sizes, branching=0.4, seed=seed)))
-    # the search's frames, one outcome per (state, profile) pair and
-    # branching, each under a valuation that varies from frame to frame
-    for i, frame in enumerate(islice(_frames(1), 0, None, 7)):
-        n = len(frame[2])
-        masks = _valuation(i * 97 % (1 << 2 * n), n, 2)
-        _index_paths_agree(_build(("a",), frame, dict(zip(("p", "q"), masks))))
-    for i, frame in enumerate(islice(_frames(2), 0, 30000, 37)):
-        n = len(frame[2])
-        _index_paths_agree(_build(("a", "b"), frame, {"p": i * 37 % (1 << n)}))
+
+
+def _frame_index_agrees(agents, frame):
+    """The frame's index, built from its small ints, against the index of the
+    Game that _build makes of it, each int read as the name _build gives it."""
+    index, built = _frame_index(agents, frame), _build(agents, frame, {})._masks
+    assert (index.n, index.full, index.rep, index.var) == (built.n, built.full, 1, {})
+    assert [f"s{s}" for s in index.states] == list(built.states)
+    assert [f"d{d}" for d in index.actions] == list(built.actions)
+    assert [(f"s{s}", mask) for s, mask in index.state.items()] == list(built.state.items())
+    assert {(a, f"d{d}"): mask for (a, d), mask in index.act.items()} == built.act
+    members = [frozenset(c) for k in range(len(agents) + 1) for c in combinations(agents, k)]
+    for coalition in members:
+        assert _classes(index, coalition) == _classes(built, coalition), (frame, coalition)
+
+
+def test_frame_index_matches_the_built_game():
+    # all 198 frames of one agent; of two agents' 26,374 and of the first
+    # 20,000 of three agents', the first 60 (the one-state shapes) and a
+    # seeded sample of the rest, from every shape that they reach
+    for frame in _frames(1):
+        _frame_index_agrees(("a",), frame)
+    rng = random.Random(27)
+    for agents, stop in ((("a", "b"), None), (("a", "b", "c"), 20000)):
+        for i, frame in enumerate(islice(_frames(len(agents)), stop)):
+            if i < 60 or rng.random() < 0.02:
+                _frame_index_agrees(agents, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from _helpers import (
     reference_find_countermodel,
 )
 from blamelogic import generator, semantics
-from blamelogic.game import game_to_document, validate_game
+from blamelogic.game import _frame_index, game_to_document, validate_game
 from blamelogic.generator import (
     AGENT_POOL,
     GenParams,
@@ -286,7 +286,7 @@ def test_sweep_reads_the_engine_mask(monkeypatch):
     # every instance is decided by the engine's mask (_ext) over the game's plays
     calls = []
 
-    def full(formula, full, game, masks, memo):
+    def full(formula, full, masks, memo):
         calls.append(formula)
         return full
 
@@ -295,7 +295,7 @@ def test_sweep_reads_the_engine_mask(monkeypatch):
     assert report.ok
     assert calls
 
-    monkeypatch.setattr(semantics, "_ext", lambda formula, full, game, masks, memo: 0)
+    monkeypatch.setattr(semantics, "_ext", lambda formula, full, masks, memo: 0)
     broken = soundness_sweep(GenParams(seed=4), 1)
     # phi is no longer valid, so necessitation is skipped and every other
     # checked play is a violation
@@ -404,10 +404,10 @@ def test_search_checks_each_of_the_8438_one_agent_candidates_once(monkeypatch):
     checked = []
     ext = semantics._ext
 
-    def counted(f, full, game, masks, memo):
+    def counted(f, full, masks, memo):
         if f is formula:
             checked.append(bin(masks.rep).count("1"))
-        return ext(f, full, game, masks, memo)
+        return ext(f, full, masks, memo)
 
     monkeypatch.setattr(semantics, "_ext", counted)
     for text in ("K{a}p -> p", "B{a}p -> p", "K{}p -> B{}p -> p"):
@@ -428,9 +428,10 @@ def test_a_budget_past_sys_maxsize_ends_with_the_bounded_space():
 @pytest.mark.parametrize("slots", [1, 2, 4])
 def test_countermodels_past_the_first_batch_of_their_frame(slots, monkeypatch):
     # with batches of a few slots, frames of more valuations than that take
-    # several passes, each from a later first valuation; the last two fixed
-    # formulas fall to valuations 4 and 5 of a two-play frame
-    monkeypatch.setattr(generator, "_SLOTS", slots)
+    # several passes, each from a later first valuation; a bound of 4 * slots
+    # bits gives frames of two and three plays batches of `slots` slots; the
+    # last two fixed formulas fall to valuations 4 and 5 of a two-play frame
+    monkeypatch.setattr(generator, "_BITS", slots << 2)
     rng = random.Random(slots)
     late = 0
     texts = _SEARCHED[:8] + ["B{a}p -> B{a}q", "~(B{a}p & q)"]
@@ -514,11 +515,11 @@ def test_space_counts_the_candidates_of_the_bounded_frames(agents, variables):
     assert (agents, variables) != (1, 1) or count == 8438
 
 
-def _child(code):
-    """Run code in a child Python limited to 2 GB of address space, so that a
-    search that asks for an astronomically large tuple fails there."""
+def _child(code, limit=2 << 30):
+    """Run code in a child Python limited to limit bytes (2 GB) of address
+    space, so that a search that asks for an astronomically large tuple or
+    string fails there."""
     resource = pytest.importorskip("resource")
-    limit = 2 << 30
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -552,9 +553,36 @@ def test_cli_search_over_five_agents_says_none():
     assert "Traceback" not in proc.stderr
 
 
-def _brute_prevent(rest, pending, members, actions, masks):
+# the (1, 2, 1) frame of 15 agents has 2**15 plays: batches of 4096 slots of
+# 2**15 + 1 bits lay out strings of 134 million characters, which with their
+# parts do not fit in 512 MB; batches of at most 2**16 bits, one slot here, do
+_FIFTEEN = "K{" + ",".join(f"a{i}" for i in range(15)) + "}p -> p"
+
+
+def test_search_over_fifteen_agents_fits_in_512_mb():
+    proc = _child(
+        "from blamelogic.generator import find_countermodel\n"
+        "from blamelogic.syntax import parse_formula\n"
+        f"print(find_countermodel(parse_formula({_FIFTEEN!r})))\n",
+        limit=1 << 29,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None\n", "")
+
+
+def test_cli_search_over_fifteen_agents_says_none_in_512_mb():
+    proc = _child(
+        "import sys\n"
+        "from blamelogic.cli import main\n"
+        f"sys.exit(main(['search', '--formula', {_FIFTEEN!r}]))\n",
+        limit=1 << 29,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "none\n")
+    assert "Traceback" not in proc.stderr
+
+
+def _brute_prevent(rest, pending, members, masks):
     # the walk of one slot, written as a loop over every choice
-    for choice in product(actions, repeat=len(members)):
+    for choice in product(masks.actions, repeat=len(members)):
         plays = rest
         for agent, action in zip(members, choice):
             plays &= masks.act.get((agent, action), 0)
@@ -570,17 +598,17 @@ def _brute_prevent(rest, pending, members, actions, masks):
 )
 def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch):
     # every frame of the shapes, under every valuation of one variable: the
-    # slot pass of each frame (the engine's walk) against one _ext call per
-    # candidate, whose B tries every choice in turn; for one agent that is
-    # all 8,438 games of the bounded space.  The fixed formulas take
-    # K and B over the empty, a single and the full coalition
+    # slot pass of each frame (the engine's walk over the frame's index in
+    # slots) against one _ext call per candidate on its own _build Game,
+    # whose B tries every choice in turn; for one agent that is all 8,438
+    # games of the bounded space.  The fixed formulas take K and B over the
+    # empty, a single and the full coalition
     rng = random.Random(25)
     texts = ["K{a}p -> p", "B{a}p -> p", "B{a}p -> K{a}p", "p -> B{a}p", "~B{}p", "K{}p"]
     if len(agents) == 2:
         texts += ["B{a,b}p -> B{a}p", "B{a,b}~p | K{a,b}p", "B{b}(p -> B{a,b}p)"]
     formulas = [parse_formula(text) for text in texts]
     formulas += [rand_formula(rng, 3, (("p",), agents)) for _ in texts]
-    p = Var("p")
     layouts = {}
     cases = []
     for frame in generator._frames(len(agents)):
@@ -590,17 +618,16 @@ def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch
         if n not in layouts:
             layouts[n] = generator._layout(n, 1, 1 << n)
         rep, (pattern,) = layouts[n]
-        game = generator._build(agents, frame, {})
-        slots = game._masks.spread(rep, {"p": pattern})
-        for f in formulas:
-            mask = semantics._ext(f, slots.full, game, slots, {})
-            assert not mask & ~slots.full  # the guard bits stay clear
-            cases.append((game, f, n, mask))
+        slots = _frame_index(agents, frame, rep)
+        masks = [semantics._ext(f, slots.full, slots, {Var("p"): pattern}) for f in formulas]
+        assert not any(mask & ~slots.full for mask in masks)  # the guard bits stay clear
+        cases.append((frame, n, masks))
     monkeypatch.setattr(semantics, "_prevent", _brute_prevent)
-    for game, f, n, mask in cases:
-        masks = game._masks
+    for frame, n, masks in cases:
         for j in range(1 << n):
-            one = semantics._ext(f, masks.full, game, masks, {p: j})
-            assert mask >> j * (n + 1) & masks.full == one, (game, j, print_formula(f))
+            game = generator._build(agents, frame, {"p": j})
+            for f, mask in zip(formulas, masks):
+                one = semantics._ext(f, game._masks.full, game._masks, {})
+                assert mask >> j * (n + 1) & game._masks.full == one, (game, j, print_formula(f))
 
 

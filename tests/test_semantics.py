@@ -187,13 +187,25 @@ def test_classes_group_states_as_indistinguishable(g):
         return next((i for i, b in enumerate(g.indist[agent]) if s in b), None)
 
     for c in _coalitions(g.agents):
-        classes = _classes(g, masks, c)
+        classes = _classes(masks, c)
         for i, s1 in enumerate(g.states):
             (home,) = [b for b in classes if b >> i & 1]  # play i is in one class
             for j, s2 in enumerate(g.states):
                 same = indistinguishable(g, c, s1, s2)
                 assert same == all(first_block(a, s1) == first_block(a, s2) for a in c)
                 assert bool(home >> j & 1) == same
+
+
+def test_classes_group_the_declared_states_only():
+    # play 1 is at x, a state the game does not declare: it is in no class
+    # of any coalition, so K fails there, ~K{a}~p holds there and B has no
+    # witness there, while plays 0 and 2 keep their class {s}
+    plays = (Play("s", {"a": "d"}, "o"), Play("x", {"a": "d"}, "o"), Play("s", {"a": "e"}, "o"))
+    g = Game(("a",), ("s",), {"a": (frozenset({"s"}),)}, ("d", "e"), ("o",), plays,
+             {"p": frozenset({0, 1})})
+    for text, expected in (("K{a}p", []), ("K{}p", []), ("B{a}p", [0]), ("~K{a}~p", [0, 1, 2])):
+        assert sorted(extension(g, parse_formula(text))) == expected, text
+    assert blame_witness(g, g.plays[1], {"a"}, parse_formula("p")) is None
 
 
 def test_play_not_in_game(truck_manual):
