@@ -216,6 +216,9 @@ def run(argv) -> int:
     except (BlamelogicError, ValueError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory: input too large for {args.command}", file=sys.stderr)
+        return 2
     report = {"command": args.command, **report}
     report["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
     try:

@@ -31,7 +31,7 @@ from itertools import combinations, product
 from types import MappingProxyType
 
 from . import semantics
-from .game import Game, Play, _frame_index, _indices
+from .game import Game, Play, _coalition, _frame_index, _indices
 from .hilbert import AXIOM_NAMES, DISJOINT, SCHEMAS, SUBSET, build_axiom
 from .syntax import (
     Blames,
@@ -181,6 +181,7 @@ def _random_formula(rng, depth, variables, agents):
 
 def gen_formula(params: GenParams, agents) -> Formula:
     """Random formula of depth <= formula_depth over the declared variables."""
+    agents = _coalition(agents)
     if not agents:
         raise ValueError("agents must be nonempty")
     rng = random.Random(params.seed)
@@ -252,7 +253,7 @@ def _falsified(masks, formula: Formula, memo: dict) -> list:
     masks is the trial's game's index, and memo the trial's node -> mask
     map over its plays, shared by all of the trial's checks.
     """
-    missing = masks.full & ~semantics._ext(formula, masks.full, masks, memo)
+    missing = masks.full & ~semantics._ext(formula, masks, memo)
     return _indices(missing) if missing else []  # valid is the usual case
 
 
@@ -357,15 +358,13 @@ def _valuation(v, n, n_vars):
 
 
 def _layout(n, n_vars, count):
-    """(rep, one mask per variable) of the slot layout of valuations
-    0..count-1 of frames of n plays: slot j, bits j*(n+1) up, holds
-    valuation j in its n play bits, then a clear guard bit; rep has the
-    lowest bit of each slot."""
-    fmt, low = f"0{n + 1}b", (1 << n) - 1
-    slots = range(count - 1, -1, -1)  # the last slot first, as int(text, 2) reads
-    rep = int(("0" * n + "1") * count, 2)
-    shifts = range(n * (n_vars - 1), -1, -n)  # _valuation's, variable by variable
-    return rep, [int("".join([format(v >> k & low, fmt) for v in slots]), 2) for k in shifts]
+    """(rep, one mask per variable) of valuations 0..count-1 of frames of n
+    plays: slot j, row j of semantics._rows, holds valuation j in its n play
+    bits, then a clear guard bit, and rep has each slot's lowest bit.  Play
+    bit b of the variable of _valuation shift k is bit k + b of j."""
+    rep, patterns = semantics._rows((count - 1).bit_length(), n + 1)
+    cut, shifts = (1 << count * (n + 1)) - 1, range(n * (n_vars - 1), -1, -n)
+    return rep & cut, [sum(p << b for b, p in enumerate(patterns[k : k + n])) & cut for k in shifts]
 
 
 def find_countermodel(formula: Formula, budget: SearchBudget = None):
@@ -402,7 +401,7 @@ def find_countermodel(formula: Formula, budget: SearchBudget = None):
                 high = _valuation(start, n, n_vars)
                 var = {x: pattern | mask * rep for (x, pattern), mask in zip(var.items(), high)}
             # the memo starts with the variables' masks, as in a tautology check
-            missing = index.full & ~semantics._ext(formula, index.full, index, dict(var))
+            missing = index.full & ~semantics._ext(formula, index, dict(var))
             if missing:
                 j, play = divmod((missing & -missing).bit_length() - 1, n + 1)
                 valuation = _valuation(start + j, n, n_vars)

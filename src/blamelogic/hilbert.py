@@ -11,9 +11,9 @@ memo per call, of the formula texts parsed and the subformulas printed.
 
 Tautology checking reads a formula as a Boolean combination of its modal
 atoms (maximal Var/Knows/Blames subformulas), settled by unit propagation
-from the formula false if it can be, else by bitmask truth tables: bit r of
-an atom's mask is its value in row r, and the semantics engine's `_ext`
-evaluates the connectives over those masks as it does over play masks.
+from the formula false if it can be, else by a bitmask truth table: bit r
+of an atom's mask is its value in row r (semantics._rows), and the engine's
+`_ext` reads the 2^n rows as one slot of points, as it reads a game's plays.
 
 SCHEMAS holds the only encoding of the eleven axiom schemas: a builder over
 the metavariables (phi, psi, C, D) and a side condition on (C, D) for each.
@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     PhiNotPremiseError,
 )
-from .semantics import _ext
+from .semantics import _ext, _Masks, _rows
 from .syntax import (
     MAX_DEPTH,
     MAX_NODES,
@@ -244,28 +244,17 @@ def _refuted(f) -> bool:
 def is_tautology_instance(f: Formula, *, _memo=None) -> bool:
     """True iff f holds under every assignment to its modal atoms.  More than
     MAX_ATOMS of them is an AtomBudgetExceededError, checked first; then unit
-    propagation settles f if it can, and only otherwise does a truth table of
-    2^n rows.  check_proof shares one atom memo over its lines as _memo."""
+    propagation settles f if it can, and only otherwise does _ext over a truth
+    table, one slot of 2^n rows.  check_proof shares one atom memo as _memo."""
     if len(_atom_set(f, {} if _memo is None else _memo)) > MAX_ATOMS:
         n = len(atom_list(f))
         raise AtomBudgetExceededError(f"{n} modal atoms exceeds the budget of {MAX_ATOMS}")
     if _refuted(f):
         return True
     atoms = atom_list(f)
-    n = len(atoms)
-    rows = 1 << n
-    full = (1 << rows) - 1
-
-    # Truth-table bitmask per atom: atom i alternates in runs of 2^i rows.
-    masks = [0] * n
-    width = 1
-    for i in range(n):
-        for j in range(i):
-            masks[j] |= masks[j] << width
-        masks[i] = ((1 << width) - 1) << width
-        width <<= 1
-    # the memo holds every atom, so _ext reads no index
-    return _ext(f, full, None, dict(zip(atoms, masks))) == full
+    _, patterns = _rows(len(atoms), 1)  # atom i alternates in runs of 2^i rows
+    table = _Masks(1 << len(atoms), (), (), {}, {}, {})  # one slot, a point per row
+    return _ext(f, table, dict(zip(atoms, patterns))) == table.full
 
 
 # ---------------------------------------------------------------------------

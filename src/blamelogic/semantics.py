@@ -25,9 +25,9 @@ order) finds a choice whose action masks leave no f-play of the class; the
 walk stops as soon as the remaining mask is empty, so it visits at most
 |plays| * |C| nonempty prefixes per class instead of |actions|^|C|
 strategies.  A choice matching no play of the class prevents vacuously.
-The same pass evaluates many valuations of one frame at once when their
-play masks lie side by side in slots (see _ext), as the countermodel
-search lays them out; a game's own index is the one-slot case.
+There is one engine path (_ext) over points laid side by side in slots:
+one slot holds a game's plays or a truth table's rows (_rows), and the
+countermodel search puts one valuation of a frame in each slot.
 
 Per call the work is O(|formula| * |plays| / word size) plus the blame
 walks, where |formula| counts distinct subformulas: formulas are interned
@@ -45,21 +45,31 @@ from .game import Game, Play, Strategy, _classes, _coalition, _indices, _Masks
 from .syntax import Blames, Formula, Implies, Knows, Neg, Var
 
 
+def _rows(m: int, w: int):
+    """(rep, patterns) of 2^m rows of w bits, row r at bit r*w up: rep has
+    each row's lowest bit, patterns[t] that of each row whose number has bit
+    t set.  Built by doubling: rows 2^t.. copy rows 0.. with bit t set."""
+    rep, patterns = 1, []
+    for t in range(m):
+        width = w << t  # the bits of the rows so far
+        for i, p in enumerate(patterns):  # in place: each old pattern is freed as it goes
+            patterns[i] = p | p << width
+        patterns.append(rep << width)
+        rep |= patterns[-1]
+    return rep, patterns
+
+
 def _prevent(rest: int, pending: int, members, masks: _Masks) -> int:
     """The slots of pending (one bit each, as in masks.rep) where some choice,
-    one action per member, has no play in `rest`.
-
-    The walk takes the choices in lexicographic order, members in the given
-    order and actions in declared order, and stops when no slot is pending.
-    """
+    one action per member, has no play in `rest`: a walk over the choices in
+    _choice's order that stops when no slot is pending."""
     done = 0
     if members:
-        act, rep = masks.act, masks.rep
+        act, full, n = masks.act, masks.full, masks.n
         agent, others = members[0], members[1:]
         for action in masks.actions:
             left = rest & act.get((agent, action), 0)
-            # the pending slots where left has a play: with one slot, any play
-            busy = left and (pending if rep == 1 else (left + masks.full) >> masks.n & pending)
+            busy = left and (left + full) >> n & pending  # the pending slots where left has a play
             if busy != pending:
                 done |= pending ^ busy
                 if not busy:
@@ -76,84 +86,77 @@ def _prevent(rest: int, pending: int, members, masks: _Masks) -> int:
 
 
 def _choice(rest: int, members, masks: _Masks):
-    """First choice (one action per member) whose plays miss `rest`, a mask
-    over one slot, else None: each member in turn takes the first action
-    after which the later members can still miss what is left (_prevent).
-    """
-    choice, actions = [], masks.actions
-    for i, agent in enumerate(members):
-        others = members[i + 1 :]
-        for action in actions:
-            left = rest & masks.act.get((agent, action), 0)
-            if not left or _prevent(left, 1, others, masks):
-                break
-        else:
-            return None
-        choice.append(action)
-        if not left:
-            return (*choice, *(actions[0],) * len(others))
-        rest = left
-    return None if rest else ()
+    """First choice (one action per member) whose plays miss `rest`, else
+    None: a depth-first walk, members in the given order, actions in
+    declared order, so the choice is the lexicographically smallest."""
+    actions = masks.actions
+    if not rest:
+        return (actions[0],) * len(members)
+    if not members:
+        return None
+    agent, others = members[0], members[1:]
+    for action in actions:
+        tail = _choice(rest & masks.act.get((agent, action), 0), others, masks)
+        if tail is not None:
+            return (action, *tail)
+    return None
 
 
 def extension_mask(game: Game, formula: Formula) -> int:
     """The formula's extension as an int whose bit i is set iff it holds at play i."""
-    masks = game._masks
-    return _ext(formula, masks.full, masks, {})
+    return _ext(formula, game._masks, {})
 
 
-def _ext(f: Formula, full: int, masks: _Masks, memo: dict) -> int:
-    """Mask of f over the index space whose set bits are full.
-
-    memo maps each node already computed over this index space to its
-    mask, so an equal subtree is computed once.  extension_mask passes a
-    game's index; a tautology check passes truth-table rows as the index
-    space and every atom's mask in memo, with no index (None), so only
-    the connectives are read.
-
-    The play masks may lie in slots side by side, each n = masks.n play
-    bits and a guard bit that full leaves clear, and masks.rep has the
-    lowest bit of each slot; a game's own index is one slot, rep = 1.
-    Adding full to a mask carries into the guard bit of each slot where the
-    mask has a play, so K finds the slots where a class meets a false play
-    with one add, and B walks the choices over the slots still pending.
+def _ext(formula: Formula, index: _Masks, memo: dict) -> int:
+    """Mask of the formula over the index, whose points lie side by side in
+    slots of index.n point bits and a guard bit that index.full leaves
+    clear; index.rep has the lowest bit of each slot.  A game's index is one
+    slot of its plays, a search frame's one valuation per slot, a truth
+    table one slot of 2^n rows.  memo maps each node computed over the index
+    to its mask, so an equal subtree is computed once; the search seeds it
+    with its variables, a tautology check with every atom.  Adding full to a
+    mask carries into the guard bit of each slot where the mask has a point,
+    so K finds the slots where a class meets a false point with one add, and
+    B walks the choices over the slots still pending (_prevent).
     """
-    mask = memo.get(f)
+    mask = memo.get(formula)
     if mask is not None:
         return mask
-    match f:
+    full = index.full
+    match formula:
         case Var(name):
-            mask = masks.var.get(name, 0)
+            mask = index.var.get(name, 0)
         case Neg(inner):
-            mask = full ^ _ext(inner, full, masks, memo)
+            mask = full ^ _ext(inner, index, memo)
         case Implies(lhs, rhs):
-            mask = full ^ _ext(lhs, full, masks, memo)
-            mask |= _ext(rhs, full, masks, memo)
+            mask = full ^ _ext(lhs, index, memo)
+            mask |= _ext(rhs, index, memo)
         case Knows(c, inner):
-            false = full ^ _ext(inner, full, masks, memo)
+            false = full ^ _ext(inner, index, memo)
+            n, rep = index.n, index.rep
             mask = 0
-            for block in _classes(masks, c):
+            for block in _classes(index, c):
                 if not block & false:
                     mask |= block
-                elif masks.rep != 1:  # the class holds in the slots where it has no false play
-                    n, rep = masks.n, masks.rep
+                else:  # the class holds in the slots where it has no false play
                     held = rep ^ ((block & false) + full) >> n & rep
-                    mask |= block & (held << n) - held  # each slot's bit over its plays
+                    if held:
+                        mask |= block & (held << n) - held  # each slot's bit over its plays
         case Blames(c, inner):
-            true = _ext(inner, full, masks, memo)
+            true = _ext(inner, index, memo)
             members = sorted(c)
-            n, rep = masks.n, masks.rep
+            n, rep = index.n, index.rep
             mask = 0
-            for block in _classes(masks, c):
+            for block in _classes(index, c):
                 rest = block & true
                 if rest:
-                    pending = 1 if rep == 1 else (rest + full) >> n & rep  # the slots where rest has a play
-                    done = _prevent(rest, pending, members, masks)
+                    pending = (rest + full) >> n & rep  # the slots where rest has a play
+                    done = _prevent(rest, pending, members, index)
                     if done:
                         mask |= rest if done == pending else rest & (done << n) - done
         case _:
-            raise TypeError(f"not a formula node: {f!r}")
-    memo[f] = mask
+            raise TypeError(f"not a formula node: {formula!r}")
+    memo[formula] = mask
     return mask
 
 
@@ -215,9 +218,8 @@ def semantic_entailment(game: Game, hypotheses, formula: Formula) -> bool:
             f"hypotheses must be a collection of formulas, not {type(hypotheses).__name__}"
         )
     masks = game._masks
-    full = masks.full
     memo = {}  # the hypotheses and the conclusion share subformulas
-    hyps = full
+    hyps = masks.full
     for h in hypotheses:
-        hyps &= _ext(h, full, masks, memo)
-    return not hyps & ~_ext(formula, full, masks, memo)
+        hyps &= _ext(h, masks, memo)
+    return not hyps & ~_ext(formula, masks, memo)

@@ -13,6 +13,10 @@ validator must report exactly its violations and warnings, in its order.
 reference_soundness_sweep is the sweep as first written, one fresh
 extension_mask call per axiom instance and necessitation check; the sweep
 that shares one memo per trial must return an equal report.
+reference_layout and reference_truth_table build the search's slot layout
+and the tautology check's truth table as each was first written, by string
+formatting and by its own doubling loop; both now come from one row
+builder (semantics._rows), which must give exactly these masks.
 """
 
 import random
@@ -535,3 +539,31 @@ def reference_soundness_sweep(params, trials):
                 for idx in _reference_falsified(game, lifted):
                     violations.append(SweepViolation("Necessitation", trial, game, idx, lifted))
     return SweepReport(trials, MappingProxyType(counts), tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# Reference row layouts
+
+
+def reference_layout(n, n_vars, count):
+    """(rep, one mask per variable) of valuations 0..count-1 of frames of n
+    plays, slot j at bits j*(n+1) up, each slot's masks written as binary
+    text, the last slot first."""
+    fmt, low = f"0{n + 1}b", (1 << n) - 1
+    slots = range(count - 1, -1, -1)  # the last slot first, as int(text, 2) reads
+    rep = int(("0" * n + "1") * count, 2)
+    shifts = range(n * (n_vars - 1), -1, -n)  # generator._valuation's, variable by variable
+    return rep, [int("".join([format(v >> k & low, fmt) for v in slots]), 2) for k in shifts]
+
+
+def reference_truth_table(n):
+    """The truth-table mask of each of n atoms over 2^n rows: atom i
+    alternates in runs of 2^i rows."""
+    masks = [0] * n
+    width = 1
+    for i in range(n):
+        for j in range(i):
+            masks[j] |= masks[j] << width
+        masks[i] = ((1 << width) - 1) << width
+        width <<= 1
+    return masks

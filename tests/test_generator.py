@@ -15,6 +15,8 @@ from _helpers import (
     rand_formula,
     reference_candidates,
     reference_find_countermodel,
+    reference_layout,
+    reference_truth_table,
 )
 from blamelogic import generator, semantics
 from blamelogic.game import _frame_index, game_to_document, validate_game
@@ -83,6 +85,20 @@ def test_generation_is_deterministic():
     assert gen_game(params) == gen_game(params)
     assert gen_formula(params, ("a", "b")) == gen_formula(params, ("a", "b"))
     assert gen_game(params) != gen_game(GenParams(seed=100, branching=0.4))
+
+
+def test_gen_formula_takes_agents_as_a_coalition():
+    # a str would read as the set of its characters, and a non-str member
+    # must be refused whether or not a coalition happens to be drawn
+    params = GenParams(formula_depth=3, seed=0)
+    for agents in ("ab", b"ab", ["a", 1], [2]):
+        with pytest.raises(TypeError):
+            gen_formula(params, agents)
+    for agents in ((), [], set(), frozenset()):
+        with pytest.raises(ValueError, match="nonempty"):
+            gen_formula(params, agents)
+    assert gen_formula(params, ["b", "a"]) == gen_formula(params, ("a", "b"))
+    assert gen_formula(params, {"a", "b"}) == gen_formula(params, ("a", "b"))
 
 
 def test_gen_game_draws_the_reference_game():
@@ -286,16 +302,16 @@ def test_sweep_reads_the_engine_mask(monkeypatch):
     # every instance is decided by the engine's mask (_ext) over the game's plays
     calls = []
 
-    def full(formula, full, masks, memo):
+    def full(formula, index, memo):
         calls.append(formula)
-        return full
+        return index.full
 
     monkeypatch.setattr(semantics, "_ext", full)
     report = soundness_sweep(GenParams(seed=4), 2)
     assert report.ok
     assert calls
 
-    monkeypatch.setattr(semantics, "_ext", lambda formula, full, masks, memo: 0)
+    monkeypatch.setattr(semantics, "_ext", lambda formula, index, memo: 0)
     broken = soundness_sweep(GenParams(seed=4), 1)
     # phi is no longer valid, so necessitation is skipped and every other
     # checked play is a violation
@@ -404,10 +420,10 @@ def test_search_checks_each_of_the_8438_one_agent_candidates_once(monkeypatch):
     checked = []
     ext = semantics._ext
 
-    def counted(f, full, masks, memo):
+    def counted(f, index, memo):
         if f is formula:
-            checked.append(bin(masks.rep).count("1"))
-        return ext(f, full, masks, memo)
+            checked.append(bin(index.rep).count("1"))
+        return ext(f, index, memo)
 
     monkeypatch.setattr(semantics, "_ext", counted)
     for text in ("K{a}p -> p", "B{a}p -> p", "K{}p -> B{}p -> p"):
@@ -499,6 +515,28 @@ def test_valuations_come_in_product_order_one_at_a_time():
     assert generator._valuation((1 << 80) - 2, 40, 2) == [(1 << 40) - 1, (1 << 40) - 2]
 
 
+def test_layout_matches_the_string_built_reference():
+    # the slot layouts of every batch the search can ask for, against the
+    # layout built as binary text: counts of every size up to 64, each
+    # power of two near 4096 and its neighbours, and each frame's full
+    # batch (the budget cuts a batch to any count below it)
+    counts = set(range(1, 65)) | {127, 128, 129, 1000, 2047, 2048, 2049, 4095, 4096}
+    for n in range(1, 17):
+        size = max(1, generator._BITS >> n.bit_length())
+        for n_vars in (1, 2, 3):
+            for count in sorted(c for c in counts | {size} if c <= min(size, 1 << n * n_vars)):
+                assert generator._layout(n, n_vars, count) == reference_layout(n, n_vars, count), (
+                    n, n_vars, count,
+                )
+
+
+def test_rows_give_the_truth_table_of_the_reference_loop():
+    for k in range(13):
+        rep, patterns = semantics._rows(k, 1)
+        assert rep == (1 << (1 << k)) - 1
+        assert patterns == reference_truth_table(k), k
+
+
 @pytest.mark.parametrize("agents, variables", [(1, 1), (1, 2), (2, 1)])
 def test_space_counts_the_candidates_of_the_bounded_frames(agents, variables):
     # the walk gives each frame of the bounded space once: per shape, the
@@ -580,6 +618,23 @@ def test_cli_search_over_fifteen_agents_says_none_in_512_mb():
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_search_out_of_memory_is_an_input_error():
+    # 26 agents: the (1, 2, 1) shape has 2**26 (state, profile) pairs, more
+    # than 512 MB holds; the CLI says so on stderr and exits 2, not with a
+    # traceback and the countermodel code 1
+    formula = "K{" + ",".join(f"a{i}" for i in range(26)) + "}p -> p"
+    proc = _child(
+        "import sys\n"
+        "from blamelogic.cli import main\n"
+        f"sys.exit(main(['search', '--formula', {formula!r}]))\n",
+        limit=1 << 29,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def _brute_prevent(rest, pending, members, masks):
     # the walk of one slot, written as a loop over every choice
     for choice in product(masks.actions, repeat=len(members)):
@@ -619,7 +674,7 @@ def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch
             layouts[n] = generator._layout(n, 1, 1 << n)
         rep, (pattern,) = layouts[n]
         slots = _frame_index(agents, frame, rep)
-        masks = [semantics._ext(f, slots.full, slots, {Var("p"): pattern}) for f in formulas]
+        masks = [semantics._ext(f, slots, {Var("p"): pattern}) for f in formulas]
         assert not any(mask & ~slots.full for mask in masks)  # the guard bits stay clear
         cases.append((frame, n, masks))
     monkeypatch.setattr(semantics, "_prevent", _brute_prevent)
@@ -627,7 +682,7 @@ def test_slot_pass_matches_an_ext_call_per_candidate(agents, shapes, monkeypatch
         for j in range(1 << n):
             game = generator._build(agents, frame, {"p": j})
             for f, mask in zip(formulas, masks):
-                one = semantics._ext(f, game._masks.full, game._masks, {})
+                one = semantics._ext(f, game._masks, {})
                 assert mask >> j * (n + 1) & game._masks.full == one, (game, j, print_formula(f))
 
 
