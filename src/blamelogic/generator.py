@@ -5,9 +5,14 @@ Everything here is a pure function of its parameters: the same GenParams
 (seed included) always yields the same game or formula.  The sweep
 instantiates every axiom schema over generated games and computes each
 instance's extension over all plays; any falsifying play is reported as a
-violation witness that can be replayed.  A trial's instances are all built
-from one phi, psi and game, so they share one memo of subformula masks,
-made for the trial and dropped with it.
+violation witness that can be replayed.  The truth definition reads a
+subformula only through its extension (K and B at a play read their
+argument's mask), so a substitution instance has the extension of its
+template, the same schema over the placeholders _PHI and _PSI, when these
+are given phi's and psi's masks.  A trial computes those two masks once,
+seeds them in one memo of subformula masks that its checks share and that
+dies with it, and checks templates, built once per (schema, C, D) and kept
+(_TEMPLATES); only a falsified template has its real instance built.
 
 A random game is drawn as small ints, frame then valuation, in one call
 (_draw), and then built (_build).
@@ -89,6 +94,11 @@ def derive_seed(seed: int, *salts: int) -> int:
     return value
 
 
+def _check_params(params):
+    if not isinstance(params, GenParams):
+        raise TypeError(f"params must be a GenParams, not {type(params).__name__}")
+
+
 def _draw(rng, n_agents, shape, branching, n_vars):
     """One random game as small ints: (frame, one valuation mask per variable).
 
@@ -147,6 +157,7 @@ def _build(agents, frame, valuation):
 
 def gen_game(params: GenParams) -> Game:
     """Random game honoring the size bounds; totality holds by construction."""
+    _check_params(params)
     agents = AGENT_POOL[: params.num_agents]
     shape = (params.num_states, params.num_actions, params.num_outcomes)
     rng = random.Random(params.seed)
@@ -181,6 +192,7 @@ def _random_formula(rng, depth, variables, agents):
 
 def gen_formula(params: GenParams, agents) -> Formula:
     """Random formula of depth <= formula_depth over the declared variables."""
+    _check_params(params)
     agents = _coalition(agents)
     if not agents:
         raise ValueError("agents must be nonempty")
@@ -216,6 +228,11 @@ class SweepReport:
         return not self.violations
 
 
+# the placeholders of the sweep's templates: no parsed variable has a "#"
+_PHI, _PSI = Var("#phi"), Var("#psi")
+_TEMPLATES = {}  # (schema, C, D) -> its instance over _PHI and _PSI, built on first use
+
+
 def _all_coalitions(agents):
     out = []
     for mask in range(1 << len(agents)):
@@ -223,8 +240,8 @@ def _all_coalitions(agents):
     return out
 
 
-def _sweep_instances(rng, agents, phi, psi):
-    """Every axiom schema instantiated at random and boundary coalitions."""
+def _sweep_instances(rng, agents):
+    """(schema, C, D) of every axiom schema at random and boundary coalitions."""
     empty = frozenset()
     everyone = frozenset(agents)
     c = _random_coalition(rng, agents)
@@ -240,32 +257,27 @@ def _sweep_instances(rng, agents, phi, psi):
         SUBSET: [(c, d), (empty, c), (c, everyone), (empty, everyone)],
         DISJOINT: [(c, disj_d), (empty, c), (c, empty)],
     }
-    return [
-        (name, build_axiom(name, phi, psi, one, two))
-        for name, (_, side) in SCHEMAS.items()
-        for one, two in pairs[side]
-    ]
+    return [(name, one, two) for name, (_, side) in SCHEMAS.items() for one, two in pairs[side]]
 
 
-def _falsified(masks, formula: Formula, memo: dict) -> list:
-    """Indices of the plays at which the formula fails, ascending.
-
-    masks is the trial's game's index, and memo the trial's node -> mask
-    map over its plays, shared by all of the trial's checks.
-    """
-    missing = masks.full & ~semantics._ext(formula, masks, memo)
-    return _indices(missing) if missing else []  # valid is the usual case
+def _instance(name, phi, psi, c, d):
+    """The instance of an axiom schema at (phi, psi, C, D), or Necessitation's
+    lift K{C}phi."""
+    return Knows(c, phi) if name == "Necessitation" else build_axiom(name, phi, psi, c, d)
 
 
 def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
     """Instantiate every axiom over generated games; report any falsifying play.
 
     Also checks that validity is preserved under prefixing a knowledge
-    modality (the necessitation rule read semantically).  A trial's axiom
-    instances and necessitation checks share one memo of subformula masks
-    over that trial's game, so phi, psi and their modal lifts are each
-    computed once per trial; the memo is dropped with the trial.
+    modality (the necessitation rule read semantically).  A trial computes
+    phi's and psi's masks once, into one memo over its game that its checks
+    share and that is dropped with it.  Each check evaluates the instance's
+    template over the placeholders _PHI and _PSI, seeded in that memo with
+    those masks; a substitution instance has its template's extension, so
+    only a falsified template has its real instance built, for the report.
     """
+    _check_params(params)
     if type(trials) is not int:  # bool is no count
         raise ValueError(f"trials must be an integer, not {type(trials).__name__}")
     if trials < 0:
@@ -275,27 +287,28 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
     violations = []
     for trial in range(trials):
         game = gen_game(replace(params, seed=derive_seed(params.seed, trial, 0)))
-        phi = gen_formula(
-            replace(params, seed=derive_seed(params.seed, trial, 1)), game.agents
-        )
-        psi = gen_formula(
-            replace(params, seed=derive_seed(params.seed, trial, 2)), game.agents
+        phi, psi = (
+            gen_formula(replace(params, seed=derive_seed(params.seed, trial, k)), game.agents)
+            for k in (1, 2)
         )
         rng = random.Random(derive_seed(params.seed, trial, 3))
         n, masks = len(game.plays), game._masks
         memo = {}  # masks over this game's plays: dies with the trial
-        for name, instance in _sweep_instances(rng, game.agents, phi, psi):
+        memo[_PHI], memo[_PSI] = semantics._ext(phi, masks, memo), semantics._ext(psi, masks, memo)
+        checks = _sweep_instances(rng, game.agents)
+        if not masks.full & ~memo[_PHI]:  # phi is valid: so must each K{C}phi be
+            checks += [("Necessitation", c, None) for c in _all_coalitions(game.agents)]
+        for key in checks:
+            name, c, d = key
             counts[name] += n
-            for idx in _falsified(masks, instance, memo):
-                violations.append(SweepViolation(name, trial, game, idx, instance))
-        if not _falsified(masks, phi, memo):
-            for coalition in _all_coalitions(game.agents):
-                lifted = Knows(coalition, phi)
-                counts["Necessitation"] += n
-                for idx in _falsified(masks, lifted, memo):
-                    violations.append(
-                        SweepViolation("Necessitation", trial, game, idx, lifted)
-                    )
+            template = _TEMPLATES.get(key)
+            if template is None:
+                template = _TEMPLATES[key] = _instance(name, _PHI, _PSI, c, d)
+            missing = masks.full & ~semantics._ext(template, masks, memo)
+            if missing:  # valid is the usual case: build the real instance only for the report
+                instance = _instance(name, phi, psi, c, d)
+                for i in _indices(missing):
+                    violations.append(SweepViolation(name, trial, game, i, instance))
     return SweepReport(trials, MappingProxyType(counts), tuple(violations))
 
 

@@ -10,9 +10,10 @@ valuations side by side in slots, must return exactly its results.
 reference_validate_game is the validator as first written, one pass over the
 plays with a duplicate key and a totality key per play; the count-based
 validator must report exactly its violations and warnings, in its order.
-reference_soundness_sweep is the sweep as first written, one fresh
-extension_mask call per axiom instance and necessitation check; the sweep
-that shares one memo per trial must return an equal report.
+reference_soundness_sweep is the sweep as first written, each axiom instance
+and necessitation check built over the trial's phi and psi and decided by
+one fresh extension_mask call; the sweep, which checks templates over
+placeholders in one memo per trial, must return an equal report.
 reference_layout and reference_truth_table build the search's slot layout
 and the tautology check's truth table as each was first written, by string
 formatting and by its own doubling loop; both now come from one row
@@ -268,6 +269,21 @@ def identity_empty_classes(real):
         if not coalition:
             return tuple(m for m in masks.state.values() if m)
         return real(masks, coalition)
+
+    return mutant
+
+
+def converse_implication(real):
+    """Mutant of semantics._ext that reads each implication backwards, rhs ->
+    lhs; the engine's own recursion reaches it through the patched name.
+    Unlike identity_empty_classes, it falsifies instances of the schemas that
+    pair phi with psi, at plays that depend on psi's mask."""
+
+    def mutant(formula, index, memo):
+        if type(formula) is Implies and formula not in memo:
+            rhs, lhs = mutant(formula.rhs, index, memo), mutant(formula.lhs, index, memo)
+            memo[formula] = index.full ^ rhs | lhs
+        return real(formula, index, memo)
 
     return mutant
 
@@ -528,7 +544,8 @@ def reference_soundness_sweep(params, trials):
         )
         rng = random.Random(derive_seed(params.seed, trial, 3))
         n = len(game.plays)
-        for name, instance in _sweep_instances(rng, game.agents, phi, psi):
+        for name, c, d in _sweep_instances(rng, game.agents):
+            instance = build_axiom(name, phi, psi, c, d)
             counts[name] += n
             for idx in _reference_falsified(game, instance):
                 violations.append(SweepViolation(name, trial, game, idx, instance))

@@ -10,6 +10,7 @@ import pytest
 
 import _helpers
 from _helpers import (
+    converse_implication,
     identity_empty_classes,
     naive_evaluate,
     rand_formula,
@@ -31,8 +32,8 @@ from blamelogic.generator import (
     gen_game,
     soundness_sweep,
 )
-from blamelogic.hilbert import AXIOM_NAMES, match_schema
-from blamelogic.syntax import Var, parse_formula, print_formula
+from blamelogic.hilbert import AXIOM_NAMES, build_axiom, match_schema
+from blamelogic.syntax import Knows, Var, formula_vars, parse_formula, print_formula
 
 
 def test_params_bounds_enforced():
@@ -210,7 +211,8 @@ def test_sweep_instances_match_their_schemas():
         agents = AGENT_POOL[: 1 + seed % 3]
         phi = gen_formula(GenParams(formula_depth=3, seed=seed), agents)
         psi = gen_formula(GenParams(formula_depth=3, seed=seed + 1000), agents)
-        for name, instance in _sweep_instances(random.Random(seed), agents, phi, psi):
+        for name, c, d in _sweep_instances(random.Random(seed), agents):
+            instance = build_axiom(name, phi, psi, c, d)
             assert match_schema(name, instance) is not None, (seed, name)
 
 
@@ -244,19 +246,93 @@ _SWEPT = [
 ]
 
 
-@pytest.mark.parametrize("mutated", [False, True], ids=["engine", "identity_empty_classes"])
-def test_sweep_returns_what_a_memo_per_instance_sweep_returns(mutated, monkeypatch):
+@pytest.mark.parametrize(
+    "name, mutant",
+    [(None, None), ("_classes", identity_empty_classes), ("_ext", converse_implication)],
+    ids=["engine", "identity_empty_classes", "converse_implication"],
+)
+def test_sweep_returns_what_a_memo_per_instance_sweep_returns(name, mutant, monkeypatch):
     # the trial's shared memo must change no count and no violation (schema,
     # trial, play, formula, game); a memo kept across trials would read one
-    # game's masks on the next
-    if mutated:
-        monkeypatch.setattr(semantics, "_classes", identity_empty_classes(semantics._classes))
-    violations = 0
+    # game's masks on the next.  identity_empty_classes breaks only schemas of
+    # phi alone; converse_implication also breaks those that pair phi with
+    # psi, so a template's psi placeholder must hold psi's mask, not phi's
+    if mutant:
+        monkeypatch.setattr(semantics, name, mutant(getattr(semantics, name)))
+    violations, schemas = 0, set()
     for params in _SWEPT:
         report = soundness_sweep(params, 25)
         assert report == _helpers.reference_soundness_sweep(params, 25), params
         violations += len(report.violations)
-    assert bool(violations) == mutated
+        schemas |= {v.schema for v in report.violations}
+    assert bool(violations) == bool(mutant)
+    if name == "_ext":
+        assert {"Distributivity", "JointResponsibility", "BlameForKnownCause"} <= schemas
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [("_classes", identity_empty_classes), ("_ext", converse_implication)],
+    ids=["identity_empty_classes", "converse_implication"],
+)
+def test_sweep_violations_are_real_instances_under_a_mutant(name, mutant, monkeypatch):
+    # a violation found on a template over the placeholders must report the
+    # instance over the trial's own phi and psi, which fails at its play
+    monkeypatch.setattr(semantics, name, mutant(getattr(semantics, name)))
+    violations = 0
+    for params in _SWEPT:
+        report = soundness_sweep(params, 25 if name == "_classes" else 5)
+        for v in report.violations:
+            phi, psi = (
+                gen_formula(replace(params, seed=derive_seed(params.seed, v.trial, k)), v.game.agents)
+                for k in (1, 2)
+            )
+            rng = random.Random(derive_seed(params.seed, v.trial, 3))
+            if v.schema == "Necessitation":
+                assert any(v.formula is Knows(c, phi) for c in generator._all_coalitions(v.game.agents))
+            else:
+                built = {
+                    build_axiom(schema, phi, psi, c, d)
+                    for schema, c, d in _sweep_instances(rng, v.game.agents)
+                    if schema == v.schema
+                }
+                assert v.formula in built, (params, v.trial, v.schema)
+                assert match_schema(v.schema, v.formula) is not None
+            assert not {"#phi", "#psi"} & formula_vars(v.formula)
+            assert not semantics.evaluate(v.game, v.game.plays[v.play_index], v.formula)
+        violations += len(report.violations)
+    assert violations
+
+
+def test_sweep_templates_stay_within_the_schemas_and_coalition_pairs():
+    # one template per (schema, C, D) drawn, C and D subsets of AGENT_POOL
+    for agents in (1, 2, 3):
+        for depth in (0, 3, 5):
+            soundness_sweep(GenParams(num_agents=agents, formula_depth=depth, seed=agents), 40)
+        assert len(generator._TEMPLATES) <= len(AXIOM_NAMES) * 64
+    pool, phi, psi = frozenset(AGENT_POOL), Var("#phi"), Var("#psi")
+    for (name, c, d), template in generator._TEMPLATES.items():
+        assert c <= pool and (d is None or d <= pool), name
+        if name == "Necessitation":
+            assert template is Knows(c, phi)
+        else:
+            assert template is build_axiom(name, phi, psi, c, d)
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda: soundness_sweep(None, 1), "NoneType"),
+        (lambda: soundness_sweep(None, 0), "NoneType"),
+        (lambda: soundness_sweep({"seed": 1}, 1), "dict"),
+        (lambda: gen_game(None), "NoneType"),
+        (lambda: gen_formula({"seed": 1}, ("a",)), "dict"),
+        (lambda: gen_formula(None, ("a",)), "NoneType"),
+    ],
+)
+def test_generator_rejects_params_that_are_no_gen_params(call, kind):
+    with pytest.raises(TypeError, match=f"^params must be a GenParams, not {kind}$"):
+        call()
 
 
 def test_countermodel_for_blame_without_knowledge():
