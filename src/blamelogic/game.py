@@ -18,7 +18,7 @@ Each game's index (`_Masks`), built by `Game.__post_init__`, holds all
 that the validator and the semantics engine read: the play sets as
 bitmasks, with plays grouped by profile object so per-profile work is done
 once per distinct profile.  It takes the masks the loader gathered
-(`_indexed_game`), else walks the plays; the countermodel search builds a
+(`_indexed_game`), else walks the plays; the search and the sweep build a
 frame's index from its small ints (`_frame_index`), with no Game.  A state's
 key under a coalition is its tuple of first-block indices under the members.
 

@@ -2,20 +2,18 @@
 bounded countermodel search.
 
 Everything here is a pure function of its parameters: the same GenParams
-(seed included) always yields the same game or formula.  The sweep
-instantiates every axiom schema over generated games and computes each
-instance's extension over all plays; any falsifying play is reported as a
-violation witness that can be replayed.  The truth definition reads a
-subformula only through its extension (K and B at a play read their
-argument's mask), so a substitution instance has the extension of its
-template, the same schema over the placeholders _PHI and _PSI, when these
-are given phi's and psi's masks.  A trial computes those two masks once,
-seeds them in one memo of subformula masks that its checks share and that
-dies with it, and checks templates, built once per (schema, C, D) and kept
-(_TEMPLATES); only a falsified template has its real instance built.
-
-A random game is drawn as small ints, frame then valuation, in one call
-(_draw), and then built (_build).
+(seed included) always yields the same game or formula.  A random game is
+drawn as small ints, frame then valuation, in one call (_draw), which
+gen_game builds (_build).  The sweep instantiates every axiom schema over
+such draws; any falsifying play is reported as a violation witness that
+can be replayed.  The truth definition reads a subformula only through its
+extension, so a substitution instance has the extension of its template,
+the same schema over the placeholders _PHI and _PSI, given phi's and psi's
+masks.  A trial evaluates its frame's index (game._frame_index), as the
+search does, with one memo that its checks share, seeded with the
+variables' masks and then phi's and psi's.  Templates are built once per
+(schema, C, D) and kept (_TEMPLATES); only a falsified template has its
+real instance built, and only a trial with a violation its Game, once.
 
 Countermodel search draws nothing: it walks one bounded space of games, of
 at most two states, actions and outcomes, in a fixed order until the
@@ -31,7 +29,7 @@ batch, over an index built from the frame's small ints in those slots
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 from types import MappingProxyType
 
@@ -155,15 +153,19 @@ def _build(agents, frame, valuation):
     return Game(tuple(agents), states, indist, actions, outcomes, plays, valuation)
 
 
+def _drawn(params, rng):
+    """(agents, frame, variable -> mask) of the game that params draw from rng."""
+    agents = AGENT_POOL[: params.num_agents]
+    shape = (params.num_states, params.num_actions, params.num_outcomes)
+    frame, masks = _draw(rng, len(agents), shape, params.branching, params.num_variables)
+    variables = (f"p{i}" for i in range(params.num_variables))
+    return agents, frame, dict(zip(variables, masks))
+
+
 def gen_game(params: GenParams) -> Game:
     """Random game honoring the size bounds; totality holds by construction."""
     _check_params(params)
-    agents = AGENT_POOL[: params.num_agents]
-    shape = (params.num_states, params.num_actions, params.num_outcomes)
-    rng = random.Random(params.seed)
-    frame, masks = _draw(rng, len(agents), shape, params.branching, params.num_variables)
-    variables = (f"p{i}" for i in range(params.num_variables))
-    return _build(agents, frame, dict(zip(variables, masks)))
+    return _build(*_drawn(params, random.Random(params.seed)))
 
 
 def _random_coalition(rng, agents):
@@ -270,12 +272,12 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
     """Instantiate every axiom over generated games; report any falsifying play.
 
     Also checks that validity is preserved under prefixing a knowledge
-    modality (the necessitation rule read semantically).  A trial computes
-    phi's and psi's masks once, into one memo over its game that its checks
-    share and that is dropped with it.  Each check evaluates the instance's
-    template over the placeholders _PHI and _PSI, seeded in that memo with
-    those masks; a substitution instance has its template's extension, so
-    only a falsified template has its real instance built, for the report.
+    modality (the necessitation rule read semantically).  A trial draws
+    gen_game's game at its seed as a frame and evaluates over the frame's
+    index, with one memo that its checks share, seeded with the variables'
+    masks and then phi's and psi's.  Each check evaluates a template over
+    _PHI and _PSI; only a falsified template has its real instance built,
+    and only a trial with a violation its Game, once, for all its violations.
     """
     _check_params(params)
     if type(trials) is not int:  # bool is no count
@@ -286,27 +288,28 @@ def soundness_sweep(params: GenParams, trials: int) -> SweepReport:
     counts["Necessitation"] = 0
     violations = []
     for trial in range(trials):
-        game = gen_game(replace(params, seed=derive_seed(params.seed, trial, 0)))
+        agents, frame, valuation = _drawn(params, random.Random(derive_seed(params.seed, trial, 0)))
         phi, psi = (
-            gen_formula(replace(params, seed=derive_seed(params.seed, trial, k)), game.agents)
+            _random_formula(random.Random(derive_seed(params.seed, trial, k)),
+                            params.formula_depth, tuple(valuation), agents)
             for k in (1, 2)
         )
-        rng = random.Random(derive_seed(params.seed, trial, 3))
-        n, masks = len(game.plays), game._masks
-        memo = {}  # masks over this game's plays: dies with the trial
-        memo[_PHI], memo[_PSI] = semantics._ext(phi, masks, memo), semantics._ext(psi, masks, memo)
-        checks = _sweep_instances(rng, game.agents)
-        if not masks.full & ~memo[_PHI]:  # phi is valid: so must each K{C}phi be
-            checks += [("Necessitation", c, None) for c in _all_coalitions(game.agents)]
+        index, game = _frame_index(agents, frame), None  # the Game only for a violation
+        memo = {Var(x): mask for x, mask in valuation.items()}  # as the search seeds it
+        memo[_PHI], memo[_PSI] = semantics._ext(phi, index, memo), semantics._ext(psi, index, memo)
+        checks = _sweep_instances(random.Random(derive_seed(params.seed, trial, 3)), agents)
+        if not index.full & ~memo[_PHI]:  # phi is valid: so must each K{C}phi be
+            checks += [("Necessitation", c, None) for c in _all_coalitions(agents)]
         for key in checks:
             name, c, d = key
-            counts[name] += n
+            counts[name] += index.n
             template = _TEMPLATES.get(key)
             if template is None:
                 template = _TEMPLATES[key] = _instance(name, _PHI, _PSI, c, d)
-            missing = masks.full & ~semantics._ext(template, masks, memo)
-            if missing:  # valid is the usual case: build the real instance only for the report
+            missing = index.full & ~semantics._ext(template, index, memo)
+            if missing:  # valid is the usual case: build the instance only for the report
                 instance = _instance(name, phi, psi, c, d)
+                game = game or _build(agents, frame, valuation)  # one per trial
                 for i in _indices(missing):
                     violations.append(SweepViolation(name, trial, game, i, instance))
     return SweepReport(trials, MappingProxyType(counts), tuple(violations))

@@ -166,6 +166,8 @@ class Neg(_Node):
         ref = _NODES.get(key)
         node = ref and ref()
         if node is None:
+            if not isinstance(inner, _Node):
+                raise TypeError(f"not a formula node: {inner!r}")
             node = _new_node(cls)
             _set_inner(node, inner)
             node = _intern(key, node, inner.size + 1, inner.depth + 1)
@@ -180,6 +182,9 @@ class Implies(_Node):
         ref = _NODES.get(key)
         node = ref and ref()
         if node is None:
+            for child in (lhs, rhs):
+                if not isinstance(child, _Node):
+                    raise TypeError(f"not a formula node: {child!r}")
             node = _new_node(cls)
             _set_lhs(node, lhs)
             _set_rhs(node, rhs)
@@ -190,8 +195,9 @@ class Implies(_Node):
 
 class _Modal(_Node):
     """K{C}inner or B{C}inner.  A coalition that is not a frozenset of str
-    agent names is a TypeError, as is a Var name that is not a str; like the
-    depth bound, these are checked only for a new node."""
+    agent names is a TypeError, as are a Var name that is not a str and a
+    child that is not a formula node; like the depth bound, these are
+    checked only for a new node."""
 
     __slots__ = __match_args__ = ("coalition", "inner")
 
@@ -204,6 +210,8 @@ class _Modal(_Node):
                 raise TypeError(f"coalition must be a frozenset, not {coalition!r}")
             if not all(isinstance(agent, str) for agent in coalition):
                 raise TypeError(f"coalition members must be str agent names: {coalition!r}")
+            if not isinstance(inner, _Node):
+                raise TypeError(f"not a formula node: {inner!r}")
             node = _new_node(cls)
             _set_coalition(node, coalition)
             _set_modal_inner(node, inner)

@@ -31,7 +31,7 @@ from blamelogic.game import (
     load_game_file,
     validate_game,
 )
-from blamelogic.generator import GenParams, _build, _frames, gen_game
+from blamelogic.generator import AGENT_POOL, GenParams, _build, _draw, _frames, gen_game
 
 BASE = {
     "agents": ["c"],
@@ -686,6 +686,19 @@ def test_frame_index_matches_the_built_game():
     for agents, stop in ((("a", "b"), None), (("a", "b", "c"), 20000)):
         for i, frame in enumerate(islice(_frames(len(agents)), stop)):
             if i < 60 or rng.random() < 0.02:
+                _frame_index_agrees(agents, frame)
+
+
+def test_frame_index_matches_the_built_game_on_drawn_frames():
+    # the sweep evaluates the frames that _draw draws across the GenParams
+    # bounds, which _frames (two states, actions, outcomes and blocks at
+    # most) never reaches: one seeded draw per agent count, shape and
+    # branching, 324 frames of up to 4 states and 3 actions and outcomes
+    rng = random.Random(30)
+    for agents in (AGENT_POOL[:1], AGENT_POOL[:2], AGENT_POOL):
+        for shape in product(range(1, 5), range(1, 4), range(1, 4)):
+            for branching in (0.0, 0.15, 0.4):
+                frame, _ = _draw(rng, len(agents), shape, branching, 1)
                 _frame_index_agrees(agents, frame)
 
 

@@ -19,7 +19,7 @@ from _helpers import (
     reference_layout,
     reference_truth_table,
 )
-from blamelogic import generator, semantics
+from blamelogic import asset_path, generator, semantics
 from blamelogic.game import _frame_index, game_to_document, validate_game
 from blamelogic.generator import (
     AGENT_POOL,
@@ -32,7 +32,14 @@ from blamelogic.generator import (
     gen_game,
     soundness_sweep,
 )
-from blamelogic.hilbert import AXIOM_NAMES, build_axiom, match_schema
+from blamelogic.hilbert import (
+    AXIOM_NAMES,
+    build_axiom,
+    check_proof,
+    deduction_transform,
+    match_schema,
+    parse_proof_file,
+)
 from blamelogic.syntax import Knows, Var, formula_vars, parse_formula, print_formula
 
 
@@ -304,6 +311,33 @@ def test_sweep_violations_are_real_instances_under_a_mutant(name, mutant, monkey
     assert violations
 
 
+def test_sweep_builds_a_game_only_for_a_trial_with_a_violation(monkeypatch):
+    # a trial evaluates its drawn frame; its Game, gen_game's at the trial's
+    # seed, is built at its first violation and shared by the rest
+    real, built = generator._build, []
+
+    def counted(agents, frame, valuation):
+        built.append(real(agents, frame, valuation))
+        return built[-1]
+
+    monkeypatch.setattr(generator, "_build", counted)
+    for params in _SWEPT:
+        assert soundness_sweep(params, 25).ok
+    assert not built
+    monkeypatch.setattr(semantics, "_classes", identity_empty_classes(semantics._classes))
+    shared = 0
+    for params in _SWEPT:
+        built.clear()
+        report = soundness_sweep(params, 25)
+        games, trials = list(built), sorted({v.trial for v in report.violations})
+        assert len(games) == len(trials), params
+        for trial, game in zip(trials, games):
+            assert {id(v.game) for v in report.violations if v.trial == trial} == {id(game)}
+            assert game == gen_game(replace(params, seed=derive_seed(params.seed, trial, 0)))
+            shared += sum(v.trial == trial for v in report.violations) > 1
+    assert shared
+
+
 def test_sweep_templates_stay_within_the_schemas_and_coalition_pairs():
     # one template per (schema, C, D) drawn, C and D subsets of AGENT_POOL
     for agents in (1, 2, 3):
@@ -372,6 +406,27 @@ def test_countermodel_games_are_valid():
         assert res is not None
         game, _ = res
         assert validate_game(game).ok
+
+
+def test_no_line_of_a_discharged_corpus_script_has_a_countermodel():
+    # soundness: each line of a checked proof with no premises holds in every
+    # game, so the search finds no countermodel for it.  One would mean that
+    # check_proof or the engine is wrong.  Six scripts, 1,488 lines distinct
+    # per script
+    lines = 0
+    for path in sorted(asset_path("").glob("*.proof")):
+        script = parse_proof_file(path)
+        for phi in script.premises:
+            script = deduction_transform(script, phi)
+        assert not script.premises and check_proof(script).valid, path.name
+        seen = set()
+        for line in script.lines:
+            if line.formula not in seen:
+                seen.add(line.formula)
+                found = find_countermodel(line.formula)
+                assert found is None, f"{path.name} line {line.index}: {print_formula(line.formula)}"
+        lines += len(seen)
+    assert lines == 1488
 
 
 def test_sweep_reads_the_engine_mask(monkeypatch):

@@ -7,6 +7,7 @@ and the costs that interning makes linear in the shared graph.
 
 import copy
 import pickle
+import re
 import sys
 import threading
 from dataclasses import FrozenInstanceError
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from blamelogic import asset_path, syntax
 from blamelogic.generator import GenParams, gen_formula
-from blamelogic.hilbert import is_tautology_instance, match_axiom
+from blamelogic.hilbert import build_axiom, is_tautology_instance, match_axiom
 from blamelogic.semantics import extension_mask
 from blamelogic.syntax import (
     Blames,
@@ -125,6 +126,29 @@ def test_constructors_refuse_fields_that_would_not_be_canonical(build):
     # a tuple or string coalition would print as K{a} yet be another node,
     # and a coalition member that is not a str would not print at all
     with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, child",
+    [
+        (lambda: Neg("p"), "'p'"),
+        (lambda: Neg(None), "None"),
+        (lambda: Neg(Var), repr(Var)),
+        (lambda: Implies(Var("p"), None), "None"),
+        (lambda: Implies(3, q), "3"),
+        (lambda: Implies("p", "q"), "'p'"),
+        (lambda: Knows(frozenset(), 3), "3"),
+        (lambda: Blames(a, ("p",)), "('p',)"),
+        (lambda: build_axiom("Truth-K"), "None"),
+        (lambda: build_axiom("Distributivity", p), "None"),
+    ],
+    ids=["neg-str", "neg-none", "neg-class", "implies-rhs-none", "implies-lhs-int",
+         "implies-str", "knows-int", "blames-tuple", "axiom-no-phi", "axiom-no-psi"],
+)
+def test_constructors_refuse_a_child_that_is_no_formula_node(build, child):
+    # checked where a new node is built, before its size and depth are read
+    with pytest.raises(TypeError, match=f"^not a formula node: {re.escape(child)}$"):
         build()
 
 
